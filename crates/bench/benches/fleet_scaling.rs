@@ -2,7 +2,8 @@
 //! of thread counts at increasing fleet sizes, with a bit-identity check
 //! between serial and every threaded run, plus the streaming ladder —
 //! 1k/100k/1M-node runs at a short simulated span whose nodes/sec and
-//! peak-RSS rows quantify the engine's O(workers) live state.
+//! peak-RSS rows quantify the workers term of the engine's O(workers +
+//! packets) live state (no node transmits within the ladder's span).
 //!
 //! Emits `BENCH_fleet.json` in the workspace root. Run with
 //! `cargo bench -p picocube-bench --bench fleet_scaling`. Flags:
@@ -104,8 +105,8 @@ impl SizeRow {
 /// the materialize-then-merge engine could not hold in memory, with the
 /// process's peak RSS sampled after the run. The high-water mark is
 /// monotonic, so each row reports the largest fleet streamed *so far* —
-/// run the rungs smallest-first and the flat curve is the O(workers)
-/// memory claim.
+/// run the rungs smallest-first and the flat curve is the workers term
+/// of the O(workers + packets) memory law.
 struct LadderRow {
     nodes: usize,
     threads: usize,

@@ -137,10 +137,10 @@ fn main() {
     }
     run_fleet_sweep(&args);
     if let Some(hwm) = picocube_bench::rss::max_rss_bytes() {
-        // The streaming engine's O(workers) claim, as a number: peak RSS
-        // stays flat no matter how many nodes the sweep above streamed.
+        // The streaming engine's O(workers + packets) claim, as a number:
+        // peak RSS grows with offered packets, not with nodes streamed.
         println!(
-            "\npeak RSS: {} (streaming engine, O(workers) live state)",
+            "\npeak RSS: {} (streaming engine, O(workers + packets) live state)",
             picocube_bench::rss::fmt_bytes(hwm)
         );
     }

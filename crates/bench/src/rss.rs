@@ -1,9 +1,9 @@
 //! Peak-memory instrumentation for the streaming-engine benches.
 //!
-//! The streaming fleet engine's claim is O(workers) live state; the bench
-//! reports back it up with the process's resident-set high-water mark so
-//! "flat memory at a million nodes" is a number in `BENCH_fleet.json`, not
-//! an assertion in prose.
+//! The streaming fleet engine's claim is O(workers + packets) live state;
+//! the bench reports back it up with the process's resident-set high-water
+//! mark so "flat memory at a million nodes" is a number in
+//! `BENCH_fleet.json`, not an assertion in prose.
 
 /// The process's peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable.

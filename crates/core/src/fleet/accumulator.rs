@@ -10,7 +10,7 @@
 //! trials consume, ~40 bytes per packet) plus its telemetry buffer, and
 //! folds that yield into this accumulator the moment the node finishes.
 //! Live state is then O(workers) node yields plus the compact record list
-//! the merge phase irreducibly needs.
+//! the merge phase irreducibly needs: O(workers + packets) in all.
 //!
 //! # Merge law
 //!

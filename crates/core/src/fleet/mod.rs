@@ -31,9 +31,10 @@
 //! Phase 1 *streams*: a node's stack is built on claim, simulated, reduced
 //! to a compact per-packet record list plus its telemetry, folded into the
 //! run's [accumulator](accumulator) in node order, and torn down before
-//! the worker claims its next chunk. Live state is O(workers) node stacks
-//! plus the O(offered packets) record list the merge irreducibly consumes
-//! — never O(nodes) stacks or telemetry registries — which is what lets
+//! the worker claims its next node. Live state is one node stack per
+//! worker plus the O(offered packets) record list the merge irreducibly
+//! consumes — O(workers + packets), never O(nodes) stacks or telemetry
+//! registries — which is what lets
 //! one machine sweep million-node fleets. A bounded reorder window keeps
 //! fast workers from buffering unboundedly ahead of the in-order fold.
 //!
@@ -43,7 +44,6 @@
 //! [`run_fleet_resumable`], which are bit-identical to uninterrupted runs.
 
 mod accumulator;
-mod batch;
 mod checkpoint;
 
 pub(crate) use accumulator::NodeCounts;
@@ -54,7 +54,7 @@ pub use checkpoint::{
 
 use crate::bus::TransmittedPacket;
 use crate::node::{BuildError, NodeConfig, PicoCube};
-use crate::stack::{AppBoard, NodeFault, RunOutcome, StackBuilder};
+use crate::stack::{AppBoard, NodeFault, StackBuilder};
 use accumulator::{FleetAccumulator, NodeYield, PacketRecord};
 use picocube_radio::{Channel, Link, PatchAntenna, SuperRegenReceiver};
 use picocube_sensors::MotionScenario;
@@ -588,22 +588,6 @@ pub fn simulate_node_instrumented(
     index: usize,
     record_events: bool,
 ) -> NodeOnAir {
-    let (mut node, setup) = build_node(config, index, record_events);
-    let outcome = node.run_for(config.duration);
-    package_node(config, index, node, setup, outcome)
-}
-
-/// Builds fleet node `index` ready to run, alongside its setup RNG (still
-/// needed after the run for the deployment-distance draw).
-///
-/// # Panics
-///
-/// Panics if the node fails to build.
-pub(crate) fn build_node(
-    config: &FleetConfig,
-    index: usize,
-    record_events: bool,
-) -> (PicoCube, SimRng) {
     let mut setup = node_setup_rng(config.seed, index);
     // Per-node fields (id, seed, offsets) cannot invalidate a base config
     // that builds, and `run_fleet_with` probe-builds the base up front.
@@ -611,21 +595,12 @@ pub(crate) fn build_node(
         // picocube-lint: allow(L2) documented `# Panics`; base pre-validated by the fleet probe
         .expect("fleet node builds");
     node.set_event_recording(record_events);
-    (node, setup)
-}
-
-/// Reduces a finished node to its plain-data [`NodeOnAir`]: drains and
-/// attributes telemetry, draws the deployment distance (the setup stream's
-/// post-run draw — order is part of the RNG contract), and converts the
-/// packet log to on-air intervals. Consumes the stack: phase 1 streams,
-/// node state never outlives its chunk.
-pub(crate) fn package_node(
-    config: &FleetConfig,
-    index: usize,
-    mut node: PicoCube,
-    mut setup: SimRng,
-    outcome: RunOutcome,
-) -> NodeOnAir {
+    let outcome = node.run_for(config.duration);
+    // Reduce the finished node to plain data: drain and attribute its
+    // telemetry, draw the deployment distance (the setup stream's post-run
+    // draw — order is part of the RNG contract), and convert the packet
+    // log to on-air intervals. The stack drops on return: phase 1 streams
+    // one node at a time.
     let mut telemetry = node.drain_telemetry();
     telemetry.attribute_to(index as u32);
     let distance = setup.uniform(config.distance_range.0, config.distance_range.1);
@@ -735,28 +710,18 @@ struct StreamState<'acc> {
 
 /// Runs phase 1 for nodes `[acc.nodes_done(), upto)`, honoring
 /// `config.parallelism`, folding every node's yield into `acc` in node
-/// order the moment it can. Live state is O(workers): each worker holds at
-/// most one in-flight chunk of stacks-then-yields, and the bounded reorder
-/// window below keeps fast workers from buffering unboundedly ahead of the
-/// in-order fold.
+/// order the moment it can. Each worker holds one live stack and at most
+/// one in-flight chunk of yields, and the bounded reorder window below
+/// keeps fast workers from buffering unboundedly ahead of the in-order
+/// fold; the folded packet records grow with offered traffic.
 fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -> FleetSchedStats {
     let record_events = acc.record_events();
     let first = acc.nodes_done();
     let remaining = upto.saturating_sub(first);
     let workers = config.parallelism.workers().min(remaining).max(1);
     if workers == 1 {
-        // Serial runs chunk through the batched sleep driver: a few stacks
-        // live at once, their inter-wake sleep spans integrated in one
-        // struct-of-arrays ledger pass per round. Behaviorally identical
-        // to the per-node loop (see `fleet::batch`); live state grows from
-        // one stack to `SLEEP_CHUNK`.
-        let mut lo = first;
-        while lo < upto {
-            let hi = (lo + batch::SLEEP_CHUNK).min(upto);
-            for on_air in batch::simulate_chunk(config, lo..hi, record_events) {
-                acc.absorb(on_air.into_yield());
-            }
-            lo = hi;
+        for index in first..upto {
+            acc.absorb(simulate_node_instrumented(config, index, record_events).into_yield());
         }
         return FleetSchedStats::serial(remaining);
     }
@@ -820,14 +785,13 @@ fn stream_nodes(config: &FleetConfig, acc: &mut FleetAccumulator, upto: usize) -
                             let lo = first + chunk * STEAL_CHUNK;
                             let hi = (lo + STEAL_CHUNK).min(upto);
                             // Simulate outside the lock; this is where the
-                            // wall-clock time goes. The claimed chunk runs
-                            // through the batched sleep driver, same as
-                            // serial.
-                            let yields: Vec<NodeYield> =
-                                batch::simulate_chunk(config, lo..hi, record_events)
-                                    .into_iter()
-                                    .map(NodeOnAir::into_yield)
-                                    .collect();
+                            // wall-clock time goes.
+                            let yields: Vec<NodeYield> = (lo..hi)
+                                .map(|i| {
+                                    simulate_node_instrumented(config, i, record_events)
+                                        .into_yield()
+                                })
+                                .collect();
                             let mut guard = match state.lock() {
                                 Ok(guard) => guard,
                                 Err(poisoned) => poisoned.into_inner(),
@@ -1704,52 +1668,6 @@ mod tests {
             serial_json,
             "static shards: metric registries diverged"
         );
-    }
-
-    #[test]
-    fn batched_chunks_match_per_node_exact_path() {
-        // The serial engine now runs chunks through the batched sleep
-        // driver (`fleet::batch`); the per-node `simulate_node_instrumented`
-        // loop is the exact reference it must reproduce bit-for-bit —
-        // outcome and full metric registry. 11 nodes: one full SLEEP_CHUNK
-        // plus a ragged tail.
-        for (app, duration) in [
-            (FleetApp::Tpms, SimDuration::from_secs(30)),
-            (
-                FleetApp::Beacon {
-                    rest_s: 5.0,
-                    handled_s: 1.0,
-                    vigor_g: 1.5,
-                    period_s: 4,
-                },
-                SimDuration::from_secs(20),
-            ),
-        ] {
-            let cfg = FleetConfig {
-                nodes: 11,
-                duration,
-                seed: 77,
-                app,
-                ..FleetConfig::default()
-            };
-            let (batched_out, batched_metrics) = run_fleet_with(&cfg, &mut NullRecorder);
-
-            let mut nodes: Vec<NodeOnAir> = (0..cfg.nodes)
-                .map(|i| simulate_node_instrumented(&cfg, i, false))
-                .collect();
-            let mut telemetry = TelemetryBuffer::new();
-            for node in &mut nodes {
-                telemetry.absorb(std::mem::take(&mut node.telemetry));
-            }
-            let exact_out = merge_fleet_impl(&cfg, nodes, &mut telemetry);
-
-            assert_eq!(batched_out, exact_out, "{app:?}: outcome diverged");
-            assert_eq!(
-                batched_metrics.to_json().to_string(),
-                telemetry.metrics.to_json().to_string(),
-                "{app:?}: metric registries diverged"
-            );
-        }
     }
 
     #[test]

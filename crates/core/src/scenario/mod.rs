@@ -189,7 +189,7 @@ impl Scenario {
             app: self.app,
             wake_ppm_range: self.wake_ppm_range(),
             // Scenario summaries read only fleet aggregates; keep the
-            // lowered run on the O(workers) streaming path.
+            // lowered run on the streaming path.
             per_node_stats: false,
         };
         config.validate()?;
@@ -444,7 +444,7 @@ fn run_campaign(
     // — harvest traces, chaos overlays and all — and swaps only the seed,
     // so a wide Monte Carlo campaign pays lowering and validation once,
     // and the per-seed engine passes ride the streaming fleet path in
-    // O(workers) memory.
+    // O(workers + packets) memory.
     let mut lowered = if spec.mesh.is_some() {
         LoweredCampaign::Mesh(spec.mesh_config(parallelism)?)
     } else {

@@ -41,12 +41,10 @@ pub use switch::{RailSolve, SwitchBoard};
 use crate::bus::{pa_enabled, BusMux, BusSensor, RadioFrontend, TransmittedPacket};
 use crate::node::{BuildError, NodeConfig, NodeReport};
 use picocube_mcu::firmware::{self, PIN_RADIO_SPI};
-use picocube_mcu::{Mcu, OperatingMode, SegmentStop};
+use picocube_mcu::{InsnCount, Mcu, OperatingMode, SegmentStop};
 use picocube_radio::OokTransmitter;
 use picocube_sensors::{MotionScenario, Sca3000, Sp12};
-use picocube_sim::{
-    LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime, SleepBatch,
-};
+use picocube_sim::{LoadId, PowerLedger, PowerTrace, RailId, ScalarTrace, SimDuration, SimTime};
 use picocube_telemetry::{keys, EventKind, Metrics, TelemetryBuffer};
 use picocube_units::{Amps, Celsius, Seconds, Volts, Watts};
 use std::cell::{Cell, RefCell};
@@ -151,24 +149,6 @@ impl RunOutcome {
     pub fn is_completed(&self) -> bool {
         matches!(self, Self::Completed)
     }
-}
-
-/// Where [`Stack::next_park`] left the node — the scheduler's resumable
-/// phase boundary, used by both the single-node loop and the fleet's
-/// batched sleep driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Park {
-    /// Reached the end of the requested span (or a terminal zero-length
-    /// supervisor-hold chunk).
-    Done,
-    /// Supervisor brown-out hold: wants to advance one supervisor-poll
-    /// chunk to `wake` and settle. Divergent state — the fleet driver
-    /// keeps held nodes on the exact path.
-    Held { wake: SimTime },
-    /// Parked in an LPM with nothing pending: wants to sleep toward
-    /// `wake` (the event horizon clamped to the run end). The batchable
-    /// case.
-    Asleep { wake: SimTime },
 }
 
 /// A board's standing current demand, split by the rail it loads.
@@ -503,9 +483,6 @@ pub struct Stack {
     /// per-step `update_currents` call would have early-returned, so
     /// skipping it is bit-invisible.
     draw_sig: Option<(OperatingMode, u8, u8, bool)>,
-    /// Reusable per-instruction cycle-delta buffer for the segmented
-    /// active path (scratch; contents never outlive one segment).
-    seg_deltas: Vec<u32>,
     fault: Option<NodeFault>,
 }
 
@@ -591,7 +568,6 @@ impl Stack {
             horizon: None,
             horizon_valid: false,
             draw_sig: None,
-            seg_deltas: Vec::new(),
             fault: None,
         };
         node.soc_trace.record(SimTime::ZERO, node.storage.soc());
@@ -956,8 +932,15 @@ impl Stack {
             return RunOutcome::Faulted(fault);
         }
         let end = self.now() + duration;
-        match self.run_until(end) {
-            Ok(()) => self.finish_run(end),
+        let finished = (|| {
+            self.run_until(end)?;
+            // Epilogue: close the span, settle, and re-derive currents.
+            self.ledger.advance_to(end.max(self.ledger.now()));
+            self.settle_battery()?;
+            self.update_currents(true)
+        })();
+        match finished {
+            Ok(()) => RunOutcome::Completed,
             Err(fault) => self.latch(fault),
         }
     }
@@ -973,40 +956,11 @@ impl Stack {
         RunOutcome::Faulted(fault)
     }
 
-    /// The shared scheduler loop: one pass over sleep-skip, board events,
-    /// controller steps and supervisor holds until `end`.
-    ///
-    /// Built from the same resumable phases the fleet's batched sleep
-    /// driver uses ([`Stack::next_park`] / [`Stack::sleep_clock`] /
-    /// [`Stack::finish_park`]), with the ledger advanced inline — the
-    /// single-node exact path is the three phases run back to back.
+    /// The scheduler loop: one pass over sleep-skip, board events,
+    /// controller segments and supervisor holds until `end`.
     fn run_until(&mut self, end: SimTime) -> Result<(), NodeFault> {
         // Guard against a stuck simulation (firmware fault).
         let mut fault_guard: u64 = 0;
-        loop {
-            let park = self.next_park(end, &mut fault_guard)?;
-            if matches!(park, Park::Done) {
-                return Ok(());
-            }
-            self.sleep_clock(park);
-            self.ledger.advance_to(self.now());
-            self.finish_park(park, end)?;
-        }
-    }
-
-    /// Phase boundary: runs held/zero-gap/active scheduling until the node
-    /// either reaches `end` or wants to integrate a sleep span — the point
-    /// where the fleet's batch driver can group it with its chunk-mates.
-    ///
-    /// Returning [`Park::Held`]/[`Park::Asleep`] leaves the node *before*
-    /// its clock or ledger move: the caller must run [`Stack::sleep_clock`],
-    /// integrate the ledger to [`Stack::now`] (directly or via a
-    /// [`SleepBatch`] span), then [`Stack::finish_park`], in that order.
-    pub(crate) fn next_park(
-        &mut self,
-        end: SimTime,
-        fault_guard: &mut u64,
-    ) -> Result<Park, NodeFault> {
         while self.now() < end {
             if self.storage.held() {
                 // Held in reset: advance in supervisor-poll chunks, letting
@@ -1019,7 +973,11 @@ impl Stack {
                 if gap.is_zero() {
                     break;
                 }
-                return Ok(Park::Held { wake: next });
+                self.mcu.sleep(gap.as_nanos() / 1_000);
+                self.slept += gap;
+                self.ledger.advance_to(self.now());
+                self.settle_battery()?;
+                continue;
             }
             let asleep = self.mcu.mode() != OperatingMode::Active && !self.mcu.has_pending_irq();
             if asleep {
@@ -1028,11 +986,13 @@ impl Stack {
                     .checked_duration_since(self.now())
                     .unwrap_or(SimDuration::ZERO);
                 if !gap.is_zero() {
-                    return Ok(Park::Asleep { wake: next });
+                    // The clock may stop short of `next`: `Mcu::sleep`
+                    // returns the moment an interrupt latches.
+                    let cycles = gap.as_nanos() / 1_000; // 1 µs per cycle
+                    self.mcu.sleep(cycles.max(1));
+                    self.slept += gap;
+                    self.ledger.advance_to(self.now());
                 }
-                // Zero gap: a board event is due right now. Settle and
-                // fire in place — the exact path; there is no span to
-                // batch.
                 self.settle_battery()?;
                 if self.now() >= end {
                     break;
@@ -1041,159 +1001,78 @@ impl Stack {
                     self.fire_due_events()?;
                 }
             } else {
-                // Active: run a whole observable-equivalent *segment* in one
-                // call, then integrate power and re-sample the world once at
-                // its boundary. `run_segment` stops after the first
-                // instruction that changes anything a board can see (GPIO
-                // outputs, SPI activity, operating mode), so deferring the
-                // pin mirror / draw-signature epilogue to the boundary is
-                // bit-identical to running it per instruction: for every
-                // interior instruction it was a no-op by construction.
-                let p1_before = self.p1.get();
-                debug_assert_eq!(self.ledger.now(), self.now());
-                // The old per-step loop gate `now() < end`, in cycles: a
-                // step may start while `cycles * 1000 < end_ns`.
-                let limit_cycles = end.as_nanos().div_ceil(1_000);
-                // Cap instructions so the stuck guard trips on exactly the
-                // same instruction as the old one-check-per-step loop.
-                let max_insns = usize::try_from(200_000_001 - *fault_guard).unwrap_or(usize::MAX);
-                self.seg_deltas.clear();
-                let stop = self
-                    .mcu
-                    .run_segment(limit_cycles, max_insns, &mut self.seg_deltas);
-                // Replay the segment's per-instruction advances through the
-                // ledger in one pass (bit-identical to per-step advance_to).
-                self.ledger.advance_deltas(&self.seg_deltas);
-                *fault_guard += self.seg_deltas.len() as u64;
-                match stop {
-                    SegmentStop::Fault { word, at } => {
-                        // As before: a faulting fetch is reported without
-                        // running the epilogue (it consumed no cycles).
-                        return Err(NodeFault::IllegalInstruction { word, at });
-                    }
-                    // The old loop counted a sleep-reporting `step` like any
-                    // other poll of the core.
-                    SegmentStop::Sleeping(_) => *fault_guard += 1,
-                    SegmentStop::Budget | SegmentStop::Observable => {}
-                }
-                // Mirror pins for the bus mux; boards watch the edges.
-                let p1_now = self.mcu.p1_output();
-                let p2_now = self.mcu.p2_output();
-                self.p1.set(p1_now);
-                self.p2.set(p2_now);
-                // `on_bus` is a pure P1 edge detector (the radio watches for
-                // its PA window closing), so a step that left P1 unchanged
-                // cannot have anything to deliver.
-                if p1_now != p1_before {
-                    let mut ctx = StackCtx {
-                        now: self.now(),
-                        vdd: self.vdd,
-                        telemetry: &mut self.telemetry,
-                        wakes: &mut self.wakes,
-                        battery_temperature: None,
-                        irq_pulse: false,
-                    };
-                    self.radio.on_bus(p1_before, p1_now, &mut ctx);
-                }
-                // Draw gate: every input to `update_currents`'s change guard
-                // is a function of this signature (see the `draw_sig` field
-                // docs), so an unchanged signature means the call would have
-                // early-returned — skip it.
-                let sig = (self.mcu.mode(), p1_now, p2_now, self.mcu.spi_busy());
-                if self.draw_sig != Some(sig) {
-                    self.draw_sig = Some(sig);
-                    self.update_currents(false)?;
-                }
-                if *fault_guard > 200_000_000 {
-                    return Err(NodeFault::Stuck {
-                        steps: *fault_guard,
-                    });
-                }
+                self.run_active_segment(end, &mut fault_guard)?;
             }
-        }
-        Ok(Park::Done)
-    }
-
-    /// Phase 1 of a park: advances the node's time base (the MCU cycle
-    /// counter) toward the park's wake time and books the span as slept.
-    /// The ledger still sits at the pre-sleep instant afterwards; the
-    /// caller integrates it to [`Stack::now`] before [`Stack::finish_park`].
-    ///
-    /// The clock may stop short of `wake`: [`Mcu::sleep`] returns early the
-    /// moment an interrupt latches (a timer tick during the span), which is
-    /// why the ledger pass targets the *actual* post-sleep `now`.
-    pub(crate) fn sleep_clock(&mut self, park: Park) {
-        match park {
-            Park::Done => {}
-            Park::Held { wake } => {
-                let gap = wake
-                    .checked_duration_since(self.now())
-                    .unwrap_or(SimDuration::ZERO);
-                self.mcu.sleep(gap.as_nanos() / 1_000);
-                self.slept += gap;
-            }
-            Park::Asleep { wake } => {
-                let gap = wake
-                    .checked_duration_since(self.now())
-                    .unwrap_or(SimDuration::ZERO);
-                let cycles = gap.as_nanos() / 1_000; // 1 µs per cycle
-                self.mcu.sleep(cycles.max(1));
-                self.slept += gap;
-            }
-        }
-    }
-
-    /// Phase 3 of a park: settles the battery over the integrated span and
-    /// — for a regular sleep that woke before `end` with the supervisor
-    /// happy — fires the board events the node slept toward.
-    pub(crate) fn finish_park(&mut self, park: Park, end: SimTime) -> Result<(), NodeFault> {
-        self.settle_battery()?;
-        if matches!(park, Park::Asleep { .. }) && self.now() < end && !self.storage.held() {
-            self.fire_due_events()?;
         }
         Ok(())
     }
 
-    /// The inline (exact-path) sleep integration: advances the ledger to
-    /// the post-[`Stack::sleep_clock`] clock. Equivalent to staging and
-    /// committing a one-span batch.
-    pub(crate) fn integrate_sleep_now(&mut self) {
+    /// Runs one active *segment* and re-samples the world once at its
+    /// boundary. `run_segment` stops after the first instruction that
+    /// changes anything a board can see (GPIO outputs, SPI activity,
+    /// operating mode), so deferring the pin mirror / draw-signature
+    /// epilogue to the boundary is bit-identical to running it per
+    /// instruction: for every interior instruction it was a no-op by
+    /// construction. The draws are constant across the segment, so the
+    /// ledger only has to move its clock.
+    fn run_active_segment(&mut self, end: SimTime, fault_guard: &mut u64) -> Result<(), NodeFault> {
+        let p1_before = self.p1.get();
+        debug_assert_eq!(self.ledger.now(), self.now());
+        // The old per-step loop gate `now() < end`, in cycles: a step may
+        // start while `cycles * 1000 < end_ns`.
+        let limit_cycles = end.as_nanos().div_ceil(1_000);
+        // Cap instructions so the stuck guard trips on exactly the same
+        // instruction as the old one-check-per-step loop.
+        let max_insns = usize::try_from(200_000_001 - *fault_guard).unwrap_or(usize::MAX);
+        let mut count = InsnCount::default();
+        let stop = self.mcu.run_segment(limit_cycles, max_insns, &mut count);
         self.ledger.advance_to(self.now());
-    }
-
-    /// Stages this node's pending sleep integration (ledger time up to
-    /// [`Stack::now`]) into a cross-node [`SleepBatch`], returning the span
-    /// handle for [`Stack::commit_sleep_span`].
-    pub(crate) fn stage_sleep_span(&mut self, batch: &mut SleepBatch) -> usize {
-        self.ledger.stage_sleep(self.now(), batch)
-    }
-
-    /// Commits this node's span of an integrated [`SleepBatch`] — the
-    /// batched equivalent of the inline `ledger.advance_to(now)`.
-    pub(crate) fn commit_sleep_span(&mut self, batch: &SleepBatch, span: usize) {
-        self.ledger.commit_sleep(batch, span);
-    }
-
-    /// Latches `fault` exactly as [`Stack::run_for`] would (telemetry event
-    /// plus frozen state); the fleet's batch driver reports faults through
-    /// this so a batched node's record matches the exact path's.
-    pub(crate) fn latch_fault(&mut self, fault: NodeFault) -> RunOutcome {
-        self.latch(fault)
-    }
-
-    /// The end-of-run epilogue shared by [`Stack::run_for`] and the batch
-    /// driver: integrates the tail of the span, settles, and re-derives
-    /// currents.
-    pub(crate) fn finish_run(&mut self, end: SimTime) -> RunOutcome {
-        let finished = (|| {
-            self.ledger.advance_to(end.max(self.ledger.now()));
-            self.settle_battery()?;
-            self.update_currents(true)
-        })();
-        match finished {
-            Ok(()) => RunOutcome::Completed,
-            Err(fault) => self.latch(fault),
+        *fault_guard += count.0 as u64;
+        match stop {
+            SegmentStop::Fault { word, at } => {
+                // As before: a faulting fetch is reported without running
+                // the epilogue (it consumed no cycles).
+                return Err(NodeFault::IllegalInstruction { word, at });
+            }
+            // The old loop counted a sleep-reporting `step` like any other
+            // poll of the core.
+            SegmentStop::Sleeping(_) => *fault_guard += 1,
+            SegmentStop::Budget | SegmentStop::Observable => {}
         }
+        // Mirror pins for the bus mux; boards watch the edges.
+        let p1_now = self.mcu.p1_output();
+        let p2_now = self.mcu.p2_output();
+        self.p1.set(p1_now);
+        self.p2.set(p2_now);
+        // `on_bus` is a pure P1 edge detector (the radio watches for its PA
+        // window closing), so a step that left P1 unchanged cannot have
+        // anything to deliver.
+        if p1_now != p1_before {
+            let mut ctx = StackCtx {
+                now: self.now(),
+                vdd: self.vdd,
+                telemetry: &mut self.telemetry,
+                wakes: &mut self.wakes,
+                battery_temperature: None,
+                irq_pulse: false,
+            };
+            self.radio.on_bus(p1_before, p1_now, &mut ctx);
+        }
+        // Draw gate: every input to `update_currents`'s change guard is a
+        // function of this signature (see the `draw_sig` field docs), so an
+        // unchanged signature means the call would have early-returned —
+        // skip it.
+        let sig = (self.mcu.mode(), p1_now, p2_now, self.mcu.spi_busy());
+        if self.draw_sig != Some(sig) {
+            self.draw_sig = Some(sig);
+            self.update_currents(false)?;
+        }
+        if *fault_guard > 200_000_000 {
+            return Err(NodeFault::Stuck {
+                steps: *fault_guard,
+            });
+        }
+        Ok(())
     }
 
     /// Produces the run summary.

@@ -4,6 +4,8 @@ use crate::isa::{Condition, Format1Op, Format2Op};
 use crate::memory::{FlatMemory, Image};
 use crate::peripherals::{Irq, Peripherals, SpiDevice};
 use crate::power_model::{McuPowerModel, OperatingMode};
+use crate::uops::{CoveredSpan, UInsn, UopCache};
+use std::sync::Arc;
 
 /// Carry flag bit in `SR`.
 pub const FLAG_C: u16 = 0x0001;
@@ -61,14 +63,66 @@ pub enum SegmentStop {
     /// The core is parked in a low-power mode with no serviceable
     /// interrupt (the [`StepResult::Sleeping`] condition).
     Sleeping(OperatingMode),
-    /// The core latched an illegal-instruction fault. Cycle deltas for
-    /// instructions that ran before the fault are still recorded.
+    /// The core latched an illegal-instruction fault. Instructions that
+    /// ran before the fault are still recorded.
     Fault {
         /// The undecodable word.
         word: u16,
         /// Address it was fetched from.
         at: u16,
     },
+}
+
+/// Where [`Mcu::run_segment`] records the instructions it executes.
+///
+/// `Vec<u32>` keeps each instruction's cycle cost; [`InsnCount`] only
+/// counts instructions, for callers that read the segment's cycles off the
+/// clock.
+pub trait InsnLog {
+    /// Instructions recorded so far.
+    fn recorded(&self) -> usize;
+    /// Records one instruction (or serviced interrupt) costing `cycles`.
+    fn record(&mut self, cycles: u32);
+    /// Records `k` iterations of the fused SPI busy-wait: each a
+    /// `poll`-cycle `bit.b` followed by a 2-cycle `jnz`.
+    fn record_spin(&mut self, k: u64, poll: u32);
+}
+
+impl InsnLog for Vec<u32> {
+    fn recorded(&self) -> usize {
+        self.len()
+    }
+
+    fn record(&mut self, cycles: u32) {
+        self.push(cycles);
+    }
+
+    fn record_spin(&mut self, k: u64, poll: u32) {
+        for _ in 0..k {
+            self.push(poll);
+            self.push(2);
+        }
+    }
+}
+
+/// An [`InsnLog`] that only counts instructions: O(1) per record,
+/// including a whole bulk-ticked SPI spin.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InsnCount(pub usize);
+
+impl InsnLog for InsnCount {
+    fn recorded(&self) -> usize {
+        self.0
+    }
+
+    fn record(&mut self, _cycles: u32) {
+        self.0 += 1;
+    }
+
+    fn record_spin(&mut self, k: u64, _poll: u32) {
+        // `k` never exceeds half the remaining instruction budget.
+        self.0 += 2 * k as usize;
+    }
 }
 
 /// The emulated microcontroller: core, memory, peripherals and clock.
@@ -84,7 +138,11 @@ pub struct Mcu {
     halted_on_fault: bool,
     /// Pre-decoded micro-op stream for the loaded image, shared across
     /// cores running identical firmware.
-    uops: Option<std::sync::Arc<crate::uops::UopCache>>,
+    uops: Option<Arc<UopCache>>,
+    /// The flash span `uops` was decoded from, kept as plain data so the
+    /// self-modifying-code guard never reads `uops` (the run loops hold
+    /// the cache outside `self` while they execute).
+    uops_span: CoveredSpan,
     /// Whether the decoded path may be used. Cleared on any write into
     /// the cached flash span (self-modifying code falls back to the
     /// interpreter for the rest of the run).
@@ -121,6 +179,7 @@ impl Mcu {
             pending: 0,
             halted_on_fault: false,
             uops: None,
+            uops_span: CoveredSpan::default(),
             uops_on: false,
             flash_dirty: false,
         }
@@ -133,7 +192,9 @@ impl Mcu {
         self.mem.load(image);
         // Every decoded instruction lies wholly inside the image's segments,
         // which this load just (re)wrote, so any earlier dirtying is moot.
-        self.uops = Some(crate::uops::cache_for(image));
+        let cache = crate::uops::cache_for(image);
+        self.uops_span = cache.span();
+        self.uops = Some(cache);
         self.uops_on = true;
         self.flash_dirty = false;
     }
@@ -221,7 +282,7 @@ impl Mcu {
     /// the interpreter (which reads memory as written).
     #[inline]
     fn invalidate_uops(&mut self, addr: u16) {
-        if self.uops_on && self.uops.as_ref().is_some_and(|c| c.covers(addr)) {
+        if self.uops_on && self.uops_span.covers(addr) {
             self.uops_on = false;
             self.flash_dirty = true;
         }
@@ -293,6 +354,15 @@ impl Mcu {
 
     /// Executes one instruction, services one interrupt, or reports sleep.
     pub fn step(&mut self) -> StepResult {
+        let cache = self.uops.take();
+        let result = self.step_with(cache.as_ref());
+        self.uops = cache;
+        result
+    }
+
+    /// [`Mcu::step`] with the decoded table passed in (the run loops hold
+    /// it outside `self`).
+    fn step_with(&mut self, cache: Option<&Arc<UopCache>>) -> StepResult {
         if self.halted_on_fault {
             return StepResult::IllegalInstruction {
                 word: 0,
@@ -321,7 +391,7 @@ impl Mcu {
         // interpreter bit-identically without refetching or redecoding.
         if self.uops_on {
             let pc = self.regs[PC];
-            if let Some(u) = self.uops.as_ref().and_then(|c| c.lookup(pc)) {
+            if let Some(u) = cache.and_then(|c| c.lookup(pc)) {
                 let cycles = self.exec_uop(u);
                 self.tick_peripherals(cycles);
                 return StepResult::Ran { cycles };
@@ -350,13 +420,21 @@ impl Mcu {
     /// instruction; everything else re-enters the full [`Mcu::step`]
     /// dispatch.
     pub fn run(&mut self, max_cycles: u64) -> u64 {
+        // The decoded table stays outside `self` for the whole run, so the
+        // loop reads it without refcount traffic.
+        let cache = self.uops.take();
+        let ran = self.run_with(cache.as_ref(), max_cycles);
+        self.uops = cache;
+        ran
+    }
+
+    fn run_with(&mut self, cache: Option<&Arc<UopCache>>, max_cycles: u64) -> u64 {
         let start = self.cycles;
         while self.cycles - start < max_cycles {
             if self.uops_on && !self.halted_on_fault {
                 let sr = self.regs[SR];
                 let mut gie = sr & FLAG_GIE != 0;
                 if sr & FLAG_CPUOFF == 0 && (!gie || self.pending == 0) {
-                    let cache = self.uops.clone();
                     let mut advanced = false;
                     if let Some(cache) = cache {
                         while self.uops_on && self.cycles - start < max_cycles {
@@ -389,7 +467,7 @@ impl Mcu {
                     }
                 }
             }
-            match self.step() {
+            match self.step_with(cache) {
                 StepResult::Ran { .. } => {}
                 _ => break,
             }
@@ -411,8 +489,7 @@ impl Mcu {
     }
 
     /// Runs a *segment*: a maximal run of instructions across which nothing
-    /// board-observable changes, recording each instruction's cycle cost in
-    /// `deltas`.
+    /// board-observable changes, recording each instruction in `log`.
     ///
     /// Semantically this is exactly a sequence of [`Mcu::step`] calls — same
     /// interrupt dispatch, same decoded-path/interpreter split, same fault
@@ -420,23 +497,37 @@ impl Mcu {
     /// (GPIO output pins, SPI activity, operating mode — the
     /// [`SegmentStop::Observable`] set), *before* a step that would exceed the
     /// budget, or when the core reports sleep or faults. The caller can
-    /// therefore integrate power over the whole segment from `deltas` and
-    /// re-inspect pins/SPI/mode once at the boundary instead of after every
+    /// therefore integrate power over the whole segment and re-inspect
+    /// pins/SPI/mode once at the boundary instead of after every
     /// instruction.
     ///
     /// `limit_cycles` is an *absolute* cycle count: no instruction starts
     /// once `self.cycles() >= limit_cycles` (matching a caller loop of the
-    /// form `while cycles < limit { step() }`). `max_insns` bounds how many
-    /// entries are appended to `deltas`.
-    pub fn run_segment(
+    /// form `while cycles < limit { step() }`). No instruction starts once
+    /// `log` holds `max_insns` records.
+    pub fn run_segment<L: InsnLog>(
         &mut self,
         limit_cycles: u64,
         max_insns: usize,
-        deltas: &mut Vec<u32>,
+        log: &mut L,
+    ) -> SegmentStop {
+        // As in [`Mcu::run`]: hold the decoded table outside `self`.
+        let cache = self.uops.take();
+        let stop = self.segment_with(cache.as_ref(), limit_cycles, max_insns, log);
+        self.uops = cache;
+        stop
+    }
+
+    fn segment_with<L: InsnLog>(
+        &mut self,
+        cache: Option<&Arc<UopCache>>,
+        limit_cycles: u64,
+        max_insns: usize,
+        log: &mut L,
     ) -> SegmentStop {
         let base = self.observables();
         loop {
-            if self.cycles >= limit_cycles || deltas.len() >= max_insns {
+            if self.cycles >= limit_cycles || log.recorded() >= max_insns {
                 return SegmentStop::Budget;
             }
             if self.halted_on_fault {
@@ -452,7 +543,7 @@ impl Mcu {
                         self.pending &= !irq.mask();
                         let cycles = self.enter_interrupt(irq);
                         self.tick_peripherals(cycles);
-                        deltas.push(cycles);
+                        log.record(cycles);
                         break;
                     }
                 }
@@ -470,24 +561,23 @@ impl Mcu {
             // one (only SR-writing instructions end blocks, so between
             // boundaries the hoisted GIE/CPUOFF state cannot go stale).
             if self.uops_on {
-                let cache = self.uops.clone();
                 if let Some(cache) = cache {
                     let mut gie = sr & FLAG_GIE != 0;
                     let mut advanced = false;
-                    while self.uops_on && self.cycles < limit_cycles && deltas.len() < max_insns {
+                    while self.uops_on && self.cycles < limit_cycles && log.recorded() < max_insns {
                         let Some(u) = cache.lookup(self.regs[PC]) else {
                             break;
                         };
                         if u.spin_spi && self.periph.spi_busy() {
                             advanced = true;
-                            match self.exec_spi_spin(&u, limit_cycles, max_insns, deltas, gie) {
+                            match self.exec_spi_spin(&u, limit_cycles, max_insns, log, gie) {
                                 Some(stop) => return stop,
                                 None => break, // re-check through the outer loop
                             }
                         }
                         let cycles = self.exec_uop(u);
                         self.tick_peripherals(cycles);
-                        deltas.push(cycles);
+                        log.record(cycles);
                         advanced = true;
                         if self.observables() != base {
                             return SegmentStop::Observable;
@@ -518,7 +608,7 @@ impl Mcu {
             match self.execute(word) {
                 Some(c) => {
                     self.tick_peripherals(c);
-                    deltas.push(c);
+                    log.record(c);
                     if self.observables() != base {
                         return SegmentStop::Observable;
                     }
@@ -547,18 +637,18 @@ impl Mcu {
     /// segment, or `None` when a freshly latched enabled interrupt needs
     /// the outer dispatch loop. The PC is always left exactly where the
     /// unfused loop would have left it.
-    fn exec_spi_spin(
+    fn exec_spi_spin<L: InsnLog>(
         &mut self,
-        u: &crate::uops::UInsn,
+        u: &UInsn,
         limit_cycles: u64,
         max_insns: usize,
-        deltas: &mut Vec<u32>,
+        log: &mut L,
         gie: bool,
     ) -> Option<SegmentStop> {
         let spin_pc = self.regs[PC];
         loop {
             // --- bit.b #1, &SPISTAT (engine busy: reads 1) ---
-            if self.cycles >= limit_cycles || deltas.len() >= max_insns {
+            if self.cycles >= limit_cycles || log.recorded() >= max_insns {
                 return Some(SegmentStop::Budget);
             }
             if !self.periph.spi_busy() {
@@ -572,7 +662,7 @@ impl Mcu {
             // and — under GIE — no enabled timer fire lands inside the
             // span. The flag write is idempotent, the peripheral
             // arithmetic is a plain sum, and PC ends back at the spin
-            // head, so one bulk tick plus the same per-instruction deltas
+            // head, so one bulk tick plus the same per-instruction records
             // reproduces the stepwise loop exactly; the boundary
             // iterations then run stepwise below.
             const LPM4_BITS: u16 = FLAG_CPUOFF | FLAG_OSCOFF;
@@ -580,7 +670,7 @@ impl Mcu {
             let per = u64::from(u.cycles) + 2;
             let mut k = (u64::from(self.periph.spi_busy_remaining()) - 1) / per;
             k = k.min(limit_cycles.saturating_sub(self.cycles) / per);
-            k = k.min(((max_insns - deltas.len()) / 2) as u64);
+            k = k.min(((max_insns - log.recorded()) / 2) as u64);
             if gie {
                 if let Some(fire) = self.periph.cycles_until_timer_fire(aclk_alive) {
                     k = k.min(fire.saturating_sub(1) / per);
@@ -593,16 +683,13 @@ impl Mcu {
                 if let Some(irq) = self.periph.tick_bulk(total, aclk_alive) {
                     self.raise(irq);
                 }
-                for _ in 0..k {
-                    deltas.push(u.cycles);
-                    deltas.push(2);
-                }
+                log.record_spin(k, u.cycles);
                 continue;
             }
             self.regs[PC] = u.next_pc;
             self.set_flags_logic(1, true, false);
             self.tick_peripherals(u.cycles);
-            deltas.push(u.cycles);
+            log.record(u.cycles);
             if !self.periph.spi_busy() {
                 return Some(SegmentStop::Observable);
             }
@@ -610,12 +697,12 @@ impl Mcu {
                 return None;
             }
             // --- jnz back to the poll (Z clear: always taken) ---
-            if self.cycles >= limit_cycles || deltas.len() >= max_insns {
+            if self.cycles >= limit_cycles || log.recorded() >= max_insns {
                 return Some(SegmentStop::Budget);
             }
             self.regs[PC] = spin_pc;
             self.tick_peripherals(2);
-            deltas.push(2);
+            log.record(2);
             if !self.periph.spi_busy() {
                 return Some(SegmentStop::Observable);
             }

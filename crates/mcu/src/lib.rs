@@ -63,7 +63,7 @@ mod peripherals;
 mod power_model;
 mod uops;
 
-pub use cpu::{Mcu, SegmentStop, StepResult};
+pub use cpu::{InsnCount, InsnLog, Mcu, SegmentStop, StepResult};
 pub use isa::{Condition, Format1Op, Format2Op};
 pub use memory::{io, vectors, FlatMemory, Image};
 pub use peripherals::{Irq, SpiDevice};

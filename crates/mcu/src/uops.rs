@@ -135,6 +135,26 @@ pub(crate) struct UInsn {
     pub spin_spi: bool,
 }
 
+/// The flash byte range a [`UopCache`] covers, as plain data: the core
+/// keeps a copy so its self-modifying-code guard needs no access to the
+/// cache itself. The default span is empty.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CoveredSpan {
+    /// First byte address covered (even).
+    base: u16,
+    /// Bytes covered from `base`.
+    bytes: usize,
+}
+
+impl CoveredSpan {
+    /// Whether a write to `addr` can alias bytes any cached instruction
+    /// was decoded from (the self-modifying-code guard's test).
+    #[inline]
+    pub(crate) fn covers(self, addr: u16) -> bool {
+        usize::from(addr.wrapping_sub(self.base)) < self.bytes
+    }
+}
+
 /// The pre-decoded micro-op table for one image: a PC-indexed slot per
 /// word-aligned address in the covered flash span.
 #[derive(Debug)]
@@ -157,11 +177,12 @@ impl UopCache {
         self.slots.get(usize::from(off >> 1)).copied().flatten()
     }
 
-    /// Whether a write to `addr` can alias bytes any cached instruction
-    /// was decoded from (the self-modifying-code guard's test).
-    #[inline]
-    pub(crate) fn covers(&self, addr: u16) -> bool {
-        usize::from(addr.wrapping_sub(self.base)) < self.slots.len() * 2
+    /// The flash bytes the cached instructions were decoded from.
+    pub(crate) fn span(&self) -> CoveredSpan {
+        CoveredSpan {
+            base: self.base,
+            bytes: self.slots.len() * 2,
+        }
     }
 
     /// Number of decoded instructions (diagnostics / tests).
@@ -589,10 +610,11 @@ mod tests {
     #[test]
     fn covers_spans_segments_with_padding() {
         let img = image(".org 0xF000\nmov #1, r4\n");
-        let cache = UopCache::build(&img);
-        assert!(cache.covers(0xF000));
-        assert!(cache.covers(0xF003)); // inside the 4-byte pad
-        assert!(!cache.covers(0xEFFE));
+        let span = UopCache::build(&img).span();
+        assert!(span.covers(0xF000));
+        assert!(span.covers(0xF003)); // inside the 4-byte pad
+        assert!(!span.covers(0xEFFE));
+        assert!(!CoveredSpan::default().covers(0xF000));
     }
 
     #[test]

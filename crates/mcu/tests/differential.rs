@@ -14,7 +14,7 @@
 //! PCs, undecodable words, interrupt storms).
 
 use picocube_mcu::firmware;
-use picocube_mcu::{asm, Image, Irq, Mcu, SegmentStop, StepResult};
+use picocube_mcu::{asm, Image, InsnCount, Irq, Mcu, SegmentStop, StepResult};
 use proptest::prelude::*;
 
 /// A decoded/interpreter pair over one image.
@@ -377,6 +377,94 @@ fn run_segment_matches_single_stepping() {
             }
         }
         pair.assert_memory("after segments");
+    }
+}
+
+/// A transmit loop whose SPI transfers take 1,024 cycles, so each
+/// busy-wait spins about 170 times: far past the two boundary iterations,
+/// which forces the fused spin's bulk fast-forward.
+const SLOW_SPI_LOOP: &str = r#"
+        .org 0xF000
+start:  mov #0x0A00, sp
+        mov.b #7, &0x0043
+loop:   mov.b #0x5A, &0x0040
+wait:   bit.b #1, &0x0042
+        jnz wait
+        inc r6
+        jmp loop
+        .vector reset, start
+"#;
+
+#[test]
+fn counting_log_matches_vec_log() {
+    // Two decoded cores run the same segments, one logging every cycle
+    // cost into a `Vec`, the other only counting. The log must not change
+    // what executes: stop reasons, cycles and registers agree, and the
+    // count equals the `Vec`'s length, bulk-ticked spins included.
+    let images: Vec<(&str, Image)> = vec![
+        ("tpms", firmware::tpms_app(0x42).expect("tpms builds")),
+        ("beacon", firmware::beacon_app(3, 2).expect("beacon builds")),
+        ("motion", firmware::motion_app(7).expect("motion builds")),
+        (
+            "slow spi",
+            asm::assemble(SLOW_SPI_LOOP).expect("spin loop assembles"),
+        ),
+    ];
+    for (name, image) in &images {
+        let boot = || {
+            let mut m = Mcu::new();
+            m.load(image);
+            m.reset();
+            m.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
+            m
+        };
+        let (mut vec_core, mut count_core) = (boot(), boot());
+        let mut deltas = Vec::new();
+        let mut longest_spin = 0usize;
+        for seg in 0..4_000usize {
+            let limit = vec_core.cycles() + 23 + (seg % 977) as u64 * 7;
+            let max_insns = 1 + seg % 400;
+            deltas.clear();
+            let mut count = InsnCount::default();
+            let a = vec_core.run_segment(limit, max_insns, &mut deltas);
+            let b = count_core.run_segment(limit, max_insns, &mut count);
+            assert_eq!(a, b, "{name} segment {seg}: stop reasons diverged");
+            assert_eq!(
+                count.0,
+                deltas.len(),
+                "{name} segment {seg}: counts diverged"
+            );
+            assert_eq!(
+                vec_core.cycles(),
+                count_core.cycles(),
+                "{name} segment {seg}"
+            );
+            for r in 0..16 {
+                assert_eq!(
+                    vec_core.register(r),
+                    count_core.register(r),
+                    "{name} segment {seg}: r{r} diverged"
+                );
+            }
+            let spin = deltas
+                .chunks_exact(2)
+                .take_while(|pair| pair.get(1) == Some(&2))
+                .count();
+            longest_spin = longest_spin.max(spin);
+            if let SegmentStop::Sleeping(_) = a {
+                for m in [&mut vec_core, &mut count_core] {
+                    m.sleep(997);
+                    m.drive_p1(0, false);
+                    m.drive_p1(0, true);
+                }
+            }
+        }
+        if *name == "slow spi" {
+            assert!(
+                longest_spin > 100,
+                "the spin loop never ran long enough to bulk-tick ({longest_spin} iterations)"
+            );
+        }
     }
 }
 

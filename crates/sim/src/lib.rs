@@ -44,7 +44,7 @@ mod rng;
 mod time;
 mod trace;
 
-pub use power::{LedgerError, LoadId, PowerLedger, PowerReport, RailId, RailReport, SleepBatch};
+pub use power::{LedgerError, LoadId, PowerLedger, PowerReport, RailId, RailReport};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

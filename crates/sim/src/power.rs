@@ -4,9 +4,10 @@
 //! radio digital, 0.65 V radio RF) plus the 1.2 V battery bus. Every
 //! component model registers one or more *loads* on a rail and publishes its
 //! instantaneous current draw whenever it changes state. The ledger treats
-//! draws as piecewise-constant between updates and integrates exact per-load
-//! energies, which is what the paper's Fig. 6 profile and §6 power budget
-//! measure on the bench.
+//! draws as piecewise-constant between updates and books each constant-draw
+//! span (a *draw epoch*) in one multiply when it closes, which yields the
+//! per-load energies the paper's Fig. 6 profile and §6 power budget measure
+//! on the bench.
 
 use crate::{SimDuration, SimTime};
 use picocube_units::json::{field, FromJson, Json, JsonError, ToJson};
@@ -62,7 +63,34 @@ impl LoadId {
 struct Load {
     name: String,
     current: Amps,
+    /// Energy of the load's closed draw epochs.
     energy: Joules,
+    /// Start of the open epoch: the load has drawn `current` at its
+    /// rail's present voltage since this instant.
+    since: SimTime,
+}
+
+impl Load {
+    /// Energy of the open epoch, from `since` to `now`.
+    fn open_energy(&self, voltage: Volts, now: SimTime) -> Joules {
+        let dt = now
+            .checked_duration_since(self.since)
+            .unwrap_or(SimDuration::ZERO);
+        voltage * self.current * dt.as_seconds()
+    }
+
+    /// Closed plus open energy at `now`.
+    fn energy_at(&self, voltage: Volts, now: SimTime) -> Joules {
+        self.energy + self.open_energy(voltage, now)
+    }
+
+    /// Closes the open epoch at `now`, returning the energy it added.
+    fn flush(&mut self, voltage: Volts, now: SimTime) -> Joules {
+        let delta = self.open_energy(voltage, now);
+        self.energy += delta;
+        self.since = now;
+        delta
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -72,7 +100,25 @@ struct Rail {
     loads: Vec<Load>,
 }
 
+impl Rail {
+    /// Closed plus open energy of every load at `now`, in registration
+    /// order.
+    fn energy_at(&self, now: SimTime) -> Joules {
+        self.loads
+            .iter()
+            .map(|l| l.energy_at(self.voltage, now))
+            .sum()
+    }
+}
+
 /// Integrating energy meter over a set of named rails and loads.
+///
+/// Energy is integrated per *draw epoch*: a load's draw `voltage *
+/// current` is constant between changes to its current or its rail's
+/// voltage, so the ledger books `voltage * current * elapsed` once, when
+/// the epoch closes, and adds the open epoch's share whenever an energy
+/// is read. Advancing the clock does no arithmetic, which makes every
+/// result independent of how time is chopped into advances.
 ///
 /// # Examples
 ///
@@ -95,32 +141,9 @@ struct Rail {
 pub struct PowerLedger {
     rails: Vec<Rail>,
     now: SimTime,
-    /// Grand total accumulated alongside the per-load integrals; the
-    /// debug-build sanitizer cross-checks it against their sum.
-    integrated_total: Joules,
-    /// Registration-ordered `(rail, load)` indices of loads currently
-    /// drawing nonzero current, rebuilt lazily after any current change.
-    /// Purely an iteration shortcut for [`advance_to`](Self::advance_to):
-    /// the visit order matches a full scan and zero-current loads
-    /// contribute exactly `+0.0`, so the float accumulation sequence is
-    /// bit-identical to walking every load.
-    hot: Vec<(usize, usize)>,
-    hot_dirty: bool,
-    /// Scratch reused by [`advance_deltas`](Self::advance_deltas): the
-    /// per-hot-load × per-cycle-count energy-delta table and the per-load
-    /// energy accumulators. Pure caches — their contents never outlive one
-    /// call.
-    scratch_table: Vec<f64>,
-    scratch_energy: Vec<f64>,
-    scratch_watts: Vec<Watts>,
-    /// Rows currently built in `scratch_table` (cycle counts `0..rows`).
-    table_rows: usize,
-    /// `draw_gen` value the table was built at; a mismatch means some
-    /// voltage, current, or load registration happened since.
-    table_gen: u64,
-    /// Bumped on every voltage/current/registration change. Purely a
-    /// cache-invalidation counter — never part of any result.
-    draw_gen: u64,
+    /// Grand total of every closed epoch, accumulated as epochs close; the
+    /// debug-build sanitizer cross-checks it against the per-load sum.
+    flushed_total: Joules,
 }
 
 impl PowerLedger {
@@ -129,15 +152,7 @@ impl PowerLedger {
         Self {
             rails: Vec::new(),
             now: SimTime::ZERO,
-            integrated_total: Joules::ZERO,
-            hot: Vec::new(),
-            hot_dirty: true,
-            scratch_table: Vec::new(),
-            scratch_energy: Vec::new(),
-            scratch_watts: Vec::new(),
-            table_rows: 0,
-            table_gen: 0,
-            draw_gen: 1,
+            flushed_total: Joules::ZERO,
         }
     }
 
@@ -169,14 +184,6 @@ impl PowerLedger {
             .ok_or(LedgerError::UnknownLoad)
     }
 
-    /// Looks up a load by handle, mutably.
-    fn load_slot_mut(&mut self, load: LoadId) -> Result<&mut Load, LedgerError> {
-        self.rails
-            .get_mut(load.rail)
-            .and_then(|r| r.loads.get_mut(load.load))
-            .ok_or(LedgerError::UnknownLoad)
-    }
-
     /// Registers a named load on `rail`, initially drawing zero current.
     ///
     /// Fails if `rail` was not issued by this ledger.
@@ -185,16 +192,18 @@ impl PowerLedger {
         rail: RailId,
         name: impl Into<String>,
     ) -> Result<LoadId, LedgerError> {
+        let now = self.now;
         let r = self.rail_slot_mut(rail)?;
         r.loads.push(Load {
             name: name.into(),
             current: Amps::ZERO,
             energy: Joules::ZERO,
+            since: now,
         });
-        let load = r.loads.len() - 1;
-        self.hot_dirty = true;
-        self.draw_gen = self.draw_gen.wrapping_add(1);
-        Ok(LoadId { rail: rail.0, load })
+        Ok(LoadId {
+            rail: rail.0,
+            load: r.loads.len() - 1,
+        })
     }
 
     /// Current simulation time of the ledger.
@@ -202,15 +211,29 @@ impl PowerLedger {
         self.now
     }
 
-    /// Updates the instantaneous current drawn by `load`.
+    /// Updates the instantaneous current drawn by `load` from the ledger's
+    /// present time on.
     ///
-    /// The previous draw is assumed to have held since the last
-    /// [`advance_to`](Self::advance_to); call `advance_to` *before* changing
-    /// currents at an event boundary.
+    /// The previous draw is booked as having held until
+    /// [`now`](Self::now); call [`advance_to`](Self::advance_to) *before*
+    /// changing currents at an event boundary. Setting the current a load
+    /// already draws is a no-op.
     pub fn set_load_current(&mut self, load: LoadId, current: Amps) -> Result<(), LedgerError> {
-        self.load_slot_mut(load)?.current = current;
-        self.hot_dirty = true;
-        self.draw_gen = self.draw_gen.wrapping_add(1);
+        let now = self.now;
+        let rail = self
+            .rails
+            .get_mut(load.rail)
+            .ok_or(LedgerError::UnknownLoad)?;
+        let voltage = rail.voltage;
+        let slot = rail
+            .loads
+            .get_mut(load.load)
+            .ok_or(LedgerError::UnknownLoad)?;
+        if slot.current != current {
+            self.flushed_total += slot.flush(voltage, now);
+            slot.current = current;
+            self.debug_check_balance();
+        }
         Ok(())
     }
 
@@ -220,10 +243,18 @@ impl PowerLedger {
     }
 
     /// Updates the rail voltage (e.g. battery sag). Takes effect for energy
-    /// integrated after the call.
+    /// integrated after [`now`](Self::now); setting the present voltage is
+    /// a no-op.
     pub fn set_rail_voltage(&mut self, rail: RailId, voltage: Volts) -> Result<(), LedgerError> {
-        self.rail_slot_mut(rail)?.voltage = voltage;
-        self.draw_gen = self.draw_gen.wrapping_add(1);
+        let now = self.now;
+        let r = self.rails.get_mut(rail.0).ok_or(LedgerError::UnknownRail)?;
+        if r.voltage != voltage {
+            for load in &mut r.loads {
+                self.flushed_total += load.flush(r.voltage, now);
+            }
+            r.voltage = voltage;
+            self.debug_check_balance();
+        }
         Ok(())
     }
 
@@ -252,243 +283,32 @@ impl PowerLedger {
             .sum()
     }
 
-    /// Integrates all loads forward to `t`.
+    /// Moves the ledger's clock to `t`. Every load keeps its present draw
+    /// over the span; nothing is integrated until an epoch closes or an
+    /// energy is read.
     ///
     /// # Panics
     ///
     /// Panics if `t` is earlier than the ledger's current time.
     pub fn advance_to(&mut self, t: SimTime) {
-        let dt: Seconds = t.duration_since(self.now).as_seconds();
-        if dt.value() > 0.0 {
-            // Skipping zero-current loads is bit-invisible: each would
-            // contribute exactly +0.0, and `x + 0.0 == x` bit-for-bit
-            // (energies only ever accumulate non-negative deltas, so no
-            // -0.0 exists to be normalized). Most of a node's loads are
-            // gated off at any instant, so the hot list is short.
-            if self.hot_dirty {
-                self.rebuild_hot();
-            }
-            for &(ri, li) in &self.hot {
-                // The indices were rebuilt above from the live rails, so
-                // the lookups cannot miss; `continue` keeps this panic-free
-                // for the lint without costing the hot path anything.
-                let Some(rail) = self.rails.get_mut(ri) else {
-                    continue;
-                };
-                let voltage = rail.voltage;
-                let Some(load) = rail.loads.get_mut(li) else {
-                    continue;
-                };
-                let delta = voltage * load.current * dt;
-                load.energy += delta;
-                self.integrated_total += delta;
-            }
-        }
+        // `duration_since` enforces the no-time-travel contract.
+        let _ = t.duration_since(self.now);
         self.now = t;
-        self.debug_check_balance();
     }
 
-    /// Rebuilds the hot list: registration-ordered indices of loads with
-    /// nonzero current.
-    fn rebuild_hot(&mut self) {
-        self.hot.clear();
-        for (ri, rail) in self.rails.iter().enumerate() {
-            for (li, load) in rail.loads.iter().enumerate() {
-                if load.current.value() != 0.0 {
-                    self.hot.push((ri, li));
-                }
-            }
-        }
-        self.hot_dirty = false;
-    }
-
-    /// Integrates a run of per-instruction advances in one pass,
-    /// bit-identically to calling [`advance_to`](Self::advance_to) once
-    /// after each instruction with that instruction's cycle cost
-    /// (1 µs per cycle).
-    ///
-    /// Voltages and currents cannot change between instructions of a run
-    /// (nothing else executes), so each load contributes
-    /// `watts * dt(cycles)` per instruction, where `watts = voltage *
-    /// current` is exactly the first product `advance_to`'s left-to-right
-    /// `voltage * current * dt` forms. Instruction costs are tiny integers
-    /// (1–6 cycles), so each product takes only a handful of distinct
-    /// values per load: they are computed once into a table and replayed,
-    /// which preserves the exact f64 value of every per-instruction add —
-    /// same operands, same operation, same accumulation order.
+    /// Moves the clock over a run of per-instruction cycle costs (1 µs per
+    /// cycle): the same as one [`advance_to`](Self::advance_to) to the end
+    /// of the run.
     pub fn advance_deltas(&mut self, deltas: &[u32]) {
-        let Some(max) = deltas.iter().copied().max() else {
-            return;
-        };
-        let nanos: u64 = deltas.iter().map(|&d| u64::from(d) * 1_000).sum();
-        let end = SimTime::from_nanos(self.now.as_nanos() + nanos);
-        if self.hot_dirty {
-            self.rebuild_hot();
-        }
-        let stride = max as usize + 1;
-        let mut table = core::mem::take(&mut self.scratch_table);
-        let mut energy = core::mem::take(&mut self.scratch_energy);
-        let mut watts_row = core::mem::take(&mut self.scratch_watts);
-        energy.clear();
-        for &(ri, li) in &self.hot {
-            let Some(rail) = self.rails.get(ri) else {
-                continue;
-            };
-            let Some(load) = rail.loads.get(li) else {
-                continue;
-            };
-            energy.push(load.energy.value());
-        }
-        // The product table is a pure function of the hot loads' watts, so
-        // it survives across calls until some draw changes (`draw_gen`
-        // bumps) or a run needs more rows than are built. Rebuilding with
-        // the same watts would reproduce the same bits; skipping it only
-        // skips work. A floor of 8 rows covers every datasheet cycle cost
-        // so stride growth alone almost never forces a rebuild.
-        if self.table_gen != self.draw_gen || stride > self.table_rows {
-            table.clear();
-            watts_row.clear();
-            for &(ri, li) in &self.hot {
-                let Some(rail) = self.rails.get(ri) else {
-                    continue;
-                };
-                let Some(load) = rail.loads.get(li) else {
-                    continue;
-                };
-                watts_row.push(rail.voltage * load.current);
-            }
-            // Delta-major layout: each cycle count's per-load products sit
-            // contiguously, so the replay walks one short row per
-            // instruction.
-            let rows = stride.max(8);
-            for c in 0..rows {
-                let dt = SimDuration::from_micros(c as u64).as_seconds();
-                for &watts in &watts_row {
-                    table.push((watts * dt).value());
-                }
-            }
-            self.table_rows = rows;
-            self.table_gen = self.draw_gen;
-        }
-        let n = energy.len();
-        let mut total = self.integrated_total.value();
-        for &d in deltas {
-            if d == 0 {
-                continue; // advance_to's `dt > 0` gate
-            }
-            // In-bounds by construction: `d <= max` so the slice ends at
-            // or before `stride * n`, the table's length.
-            let base = d as usize * n;
-            let Some(row) = table.get(base..base + n) else {
-                continue;
-            };
-            for (e, &delta) in energy.iter_mut().zip(row) {
-                *e += delta;
-                total += delta;
-            }
-        }
-        for (&(ri, li), &e) in self.hot.iter().zip(&energy) {
-            if let Some(load) = self.rails.get_mut(ri).and_then(|r| r.loads.get_mut(li)) {
-                load.energy = Joules::new(e);
-            }
-        }
-        self.integrated_total = Joules::new(total);
-        self.now = end;
-        self.scratch_table = table;
-        self.scratch_energy = energy;
-        self.scratch_watts = watts_row;
-        self.debug_check_balance();
+        let micros: u64 = deltas.iter().map(|&d| u64::from(d)).sum();
+        self.advance_by(SimDuration::from_micros(micros));
     }
 
-    /// Stages this ledger's pending advance to `t` into a cross-ledger
-    /// [`SleepBatch`] pass, returning the span handle to later
-    /// [`commit_sleep`](Self::commit_sleep) with.
-    ///
-    /// Bit-identical to [`advance_to`](Self::advance_to): the staged rows
-    /// are exactly the hot-list products `rail.voltage * load.current` (the
-    /// first multiply `advance_to` forms) and the span's `dt` is the same
-    /// `duration_since(now).as_seconds()` value, so the batch's
-    /// `watts * dt` / `energy += delta` replay performs the identical f64
-    /// operations in the identical order. Grouping many ledgers into one
-    /// pass adds no cross-ledger arithmetic — each span integrates on its
-    /// own accumulators.
-    ///
-    /// The ledger's clock does **not** move until the commit; between stage
-    /// and commit the ledger must not be touched (currents, voltages, or
-    /// further advances), which the commit's debug assertions police.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the ledger's current time (same
-    /// contract as `advance_to`).
-    pub fn stage_sleep(&mut self, t: SimTime, batch: &mut SleepBatch) -> usize {
-        debug_assert!(
-            !batch.integrated,
-            "stage_sleep after integrate: clear the batch between passes"
-        );
-        let dt: Seconds = t.duration_since(self.now).as_seconds();
-        let first = batch.watts.len();
-        if dt.value() > 0.0 {
-            if self.hot_dirty {
-                self.rebuild_hot();
-            }
-            for &(ri, li) in &self.hot {
-                let Some(rail) = self.rails.get(ri) else {
-                    continue;
-                };
-                let Some(load) = rail.loads.get(li) else {
-                    continue;
-                };
-                batch.watts.push((rail.voltage * load.current).value());
-                batch.energy.push(load.energy.value());
-            }
-        }
-        batch.spans.push(SleepSpan {
-            first,
-            rows: batch.watts.len() - first,
-            dt: dt.value(),
-            end: t,
-            total: self.integrated_total.value(),
-        });
-        batch.spans.len() - 1
-    }
-
-    /// Writes an integrated [`SleepBatch`] span back into this ledger:
-    /// per-load energies, the grand total, and the clock. Must be called on
-    /// the same ledger that staged `span`, with the hot list untouched
-    /// since; a stale or foreign handle is a driver bug and trips the
-    /// sanitizer (release builds write back whatever was staged).
-    pub fn commit_sleep(&mut self, batch: &SleepBatch, span: usize) {
-        let Some(span) = batch.spans.get(span) else {
-            debug_assert!(false, "commit_sleep: span handle out of range");
-            return;
-        };
-        debug_assert!(
-            batch.integrated,
-            "commit_sleep before SleepBatch::integrate"
-        );
-        if span.rows > 0 {
-            debug_assert!(
-                !self.hot_dirty && self.hot.len() == span.rows,
-                "ledger mutated between stage_sleep and commit_sleep"
-            );
-            let energies = batch.energy.iter().skip(span.first).take(span.rows);
-            for (&(ri, li), &e) in self.hot.iter().zip(energies) {
-                if let Some(load) = self.rails.get_mut(ri).and_then(|r| r.loads.get_mut(li)) {
-                    load.energy = Joules::new(e);
-                }
-            }
-        }
-        self.integrated_total = Joules::new(span.total);
-        self.now = span.end;
-        self.debug_check_balance();
-    }
-
-    /// Debug-build sanitizer: the per-rail energy integrals must sum to the
+    /// Debug-build sanitizer: the closed-epoch energies must sum to the
     /// independently accumulated grand total. A mismatch means some path
-    /// mutated a load's energy without going through
-    /// [`advance_to`](Self::advance_to) — a bookkeeping bug in the ledger,
-    /// never a legitimate model outcome. Compiled out in release builds.
+    /// mutated a load's energy without closing its epoch — a bookkeeping
+    /// bug in the ledger, never a legitimate model outcome. Compiled out in
+    /// release builds.
     fn debug_check_balance(&self) {
         if cfg!(debug_assertions) {
             let per_load: f64 = self
@@ -497,13 +317,13 @@ impl PowerLedger {
                 .flat_map(|r| r.loads.iter())
                 .map(|l| l.energy.value())
                 .sum();
-            let total = self.integrated_total.value();
+            let total = self.flushed_total.value();
             // Summation order differs between the two accumulators, so allow
             // a relative float tolerance.
             let tolerance = 1e-9 * per_load.abs().max(total.abs()).max(1e-12);
             debug_assert!(
                 (per_load - total).abs() <= tolerance,
-                "power ledger unbalanced: per-load sum {per_load} J != integrated total {total} J"
+                "power ledger unbalanced: per-load sum {per_load} J != flushed total {total} J"
             );
         }
     }
@@ -522,29 +342,28 @@ impl PowerLedger {
         }
     }
 
-    /// Integrates all loads forward by `dt`.
+    /// Moves the clock forward by `dt`.
     pub fn advance_by(&mut self, dt: SimDuration) {
         self.advance_to(self.now + dt);
     }
 
     /// Total energy consumed from `rail` so far.
     pub fn rail_energy(&self, rail: RailId) -> Result<Joules, LedgerError> {
-        Ok(self.rail_slot(rail)?.loads.iter().map(|l| l.energy).sum())
+        Ok(self.rail_slot(rail)?.energy_at(self.now))
     }
 
     /// Energy consumed by one load so far.
     pub fn load_energy(&self, load: LoadId) -> Result<Joules, LedgerError> {
-        Ok(self.load_slot(load)?.energy)
+        let rail = self.rails.get(load.rail).ok_or(LedgerError::UnknownLoad)?;
+        let slot = rail.loads.get(load.load).ok_or(LedgerError::UnknownLoad)?;
+        Ok(slot.energy_at(rail.voltage, self.now))
     }
 
     /// Total energy consumed across all rails so far.
     pub fn total_energy(&self) -> Joules {
         // Same per-rail visit and accumulation order as summing
         // `rail_energy` over every issued handle.
-        self.rails
-            .iter()
-            .map(|r| r.loads.iter().map(|l| l.energy).sum::<Joules>())
-            .sum()
+        self.rails.iter().map(|r| r.energy_at(self.now)).sum()
     }
 
     /// Average power since simulation start (total energy / elapsed time).
@@ -567,15 +386,17 @@ impl PowerLedger {
     pub fn export_metrics(&self, metrics: &mut picocube_telemetry::Metrics) {
         use picocube_telemetry::keys;
         for rail in &self.rails {
+            let loads = || {
+                rail.loads
+                    .iter()
+                    .map(|l| l.energy_at(rail.voltage, self.now))
+            };
             metrics.add(
                 &keys::power_rail_uj(&rail.name),
-                rail.loads.iter().map(|l| l.energy.micro()).sum(),
+                loads().map(Joules::micro).sum(),
             );
-            for load in &rail.loads {
-                metrics.add(
-                    &keys::power_load_uj(&rail.name, &load.name),
-                    load.energy.micro(),
-                );
+            for (load, energy) in rail.loads.iter().zip(loads()) {
+                metrics.add(&keys::power_load_uj(&rail.name, &load.name), energy.micro());
             }
         }
         metrics.add(keys::POWER_TOTAL_UJ, self.total_energy().micro());
@@ -593,8 +414,12 @@ impl PowerLedger {
                 .map(|r| RailReport {
                     name: r.name.clone(),
                     voltage: r.voltage,
-                    energy: r.loads.iter().map(|l| l.energy).sum(),
-                    loads: r.loads.iter().map(|l| (l.name.clone(), l.energy)).collect(),
+                    energy: r.energy_at(self.now),
+                    loads: r
+                        .loads
+                        .iter()
+                        .map(|l| (l.name.clone(), l.energy_at(r.voltage, self.now)))
+                        .collect(),
                 })
                 .collect(),
         }
@@ -604,88 +429,6 @@ impl PowerLedger {
 impl Default for PowerLedger {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// One ledger's staged sleep span inside a [`SleepBatch`].
-#[derive(Debug, Clone, Copy)]
-struct SleepSpan {
-    /// First row of this span in the batch's flat arrays.
-    first: usize,
-    /// Hot-load rows staged (zero when the span's `dt` was zero).
-    rows: usize,
-    /// Elapsed seconds, exactly as `advance_to` would have formed it.
-    dt: f64,
-    /// The ledger clock after the commit.
-    end: SimTime,
-    /// The ledger's grand total: staged value before
-    /// [`SleepBatch::integrate`], final value after.
-    total: f64,
-}
-
-/// Struct-of-arrays batch integrator for a fleet's sleep path.
-///
-/// Many ledgers stage their pending sleep advance
-/// ([`PowerLedger::stage_sleep`]) into one pair of flat `watts`/`energy`
-/// arrays; [`integrate`](Self::integrate) then runs the whole group's
-/// energy accumulation as a single tight loop over those arrays, and each
-/// ledger copies its span back with [`PowerLedger::commit_sleep`]. Every
-/// span's arithmetic is bit-identical to that ledger calling
-/// [`PowerLedger::advance_to`] by itself — same operand values, same
-/// operations, same accumulation order, no cross-ledger math — so batching
-/// is purely a memory-layout optimization: one cache-friendly pass instead
-/// of a pointer-chasing walk per node.
-#[derive(Debug, Default)]
-pub struct SleepBatch {
-    watts: Vec<f64>,
-    energy: Vec<f64>,
-    spans: Vec<SleepSpan>,
-    /// Set once [`integrate`](Self::integrate) has run; staging is only
-    /// legal before, committing only after.
-    integrated: bool,
-}
-
-impl SleepBatch {
-    /// Creates an empty batch. Reuse one per worker: `clear` keeps the
-    /// allocations.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets all staged spans, keeping capacity for the next round.
-    pub fn clear(&mut self) {
-        self.watts.clear();
-        self.energy.clear();
-        self.spans.clear();
-        self.integrated = false;
-    }
-
-    /// Number of spans staged this round.
-    pub fn spans(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// The grouped integration pass: for every staged span, accumulates
-    /// `energy += watts * dt` per row and folds the same deltas into the
-    /// span's grand total — the exact f64 sequence `advance_to` performs
-    /// per ledger, laid out as one linear sweep.
-    pub fn integrate(&mut self) {
-        for span in &mut self.spans {
-            let mut total = span.total;
-            let rows = self
-                .energy
-                .iter_mut()
-                .skip(span.first)
-                .take(span.rows)
-                .zip(self.watts.iter().skip(span.first));
-            for (e, &w) in rows {
-                let delta = w * span.dt;
-                *e += delta;
-                total += delta;
-            }
-            span.total = total;
-        }
-        self.integrated = true;
     }
 }
 
@@ -865,94 +608,6 @@ mod tests {
         ledger.advance_to(SimTime::from_secs(1));
     }
 
-    /// Builds a small ledger with an irrationally odd operating point so
-    /// any deviation from `advance_to`'s float sequence shows up in the
-    /// low bits.
-    fn odd_ledger(scale: f64) -> (PowerLedger, LoadId, LoadId) {
-        let mut ledger = PowerLedger::new();
-        let vbat = ledger.add_rail("VBAT", Volts::new(1.217 * scale));
-        let vdd = ledger.add_rail("VDD", Volts::new(2.393));
-        let a = ledger.register_load(vbat, "a").unwrap();
-        let b = ledger.register_load(vdd, "b").unwrap();
-        let z = ledger.register_load(vdd, "gated off").unwrap();
-        ledger
-            .set_load_current(a, Amps::new(1.0e-3 / 3.0 * scale))
-            .unwrap();
-        ledger.set_load_current(b, Amps::new(7.7e-6 / 9.0)).unwrap();
-        ledger.set_load_current(z, Amps::ZERO).unwrap();
-        (ledger, a, b)
-    }
-
-    #[test]
-    fn sleep_batch_matches_advance_to_bit_for_bit() {
-        // Three ledgers at different operating points and span lengths,
-        // staged into one batch; a clone of each advances alone. Every
-        // energy integral, total, and clock must agree exactly — the
-        // batch's contract is bit-identity, not tolerance.
-        let mut group: Vec<PowerLedger> = (1..=3)
-            .map(|k| {
-                let (mut l, _, _) = odd_ledger(k as f64);
-                l.advance_to(SimTime::from_nanos(12_345 * k));
-                l
-            })
-            .collect();
-        let mut solo = group.clone();
-        let ends = [
-            SimTime::from_nanos(7_777_777),
-            SimTime::from_nanos(12_345 * 2), // dt == 0: clock-only commit
-            SimTime::from_secs(3),
-        ];
-
-        let mut batch = SleepBatch::new();
-        let handles: Vec<usize> = group
-            .iter_mut()
-            .zip(ends)
-            .map(|(ledger, end)| ledger.stage_sleep(end, &mut batch))
-            .collect();
-        batch.integrate();
-        for (ledger, span) in group.iter_mut().zip(handles) {
-            ledger.commit_sleep(&batch, span);
-        }
-
-        for (ledger, end) in solo.iter_mut().zip(ends) {
-            ledger.advance_to(end);
-        }
-        for (batched, alone) in group.iter().zip(&solo) {
-            assert_eq!(batched.now(), alone.now());
-            assert_eq!(
-                batched.total_energy().value().to_bits(),
-                alone.total_energy().value().to_bits(),
-                "grand totals must be bit-identical"
-            );
-            let (br, ar) = (batched.report(), alone.report());
-            for (b, a) in br.rails.iter().zip(&ar.rails) {
-                for ((_, be), (_, ae)) in b.loads.iter().zip(&a.loads) {
-                    assert_eq!(be.value().to_bits(), ae.value().to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sleep_batch_reuse_after_clear() {
-        let (mut ledger, _, _) = odd_ledger(1.0);
-        let mut solo = ledger.clone();
-        let mut batch = SleepBatch::new();
-        for round in 1..=4u64 {
-            batch.clear();
-            let end = SimTime::from_millis(round * 13);
-            let span = ledger.stage_sleep(end, &mut batch);
-            assert_eq!(batch.spans(), 1);
-            batch.integrate();
-            ledger.commit_sleep(&batch, span);
-            solo.advance_to(end);
-            assert_eq!(
-                ledger.total_energy().value().to_bits(),
-                solo.total_energy().value().to_bits()
-            );
-        }
-    }
-
     #[test]
     fn export_metrics_breaks_energy_out_per_rail_and_load() {
         let mut ledger = PowerLedger::new();
@@ -982,10 +637,14 @@ mod tests {
             .set_load_current(load, Amps::from_milli(1.0))
             .unwrap();
         ledger.advance_to(SimTime::from_secs(1));
-        // Corrupt one integral behind the ledger's back; the next advance
-        // must catch the imbalance.
+        ledger.set_load_current(load, Amps::ZERO).unwrap();
+        // Corrupt one closed integral behind the ledger's back; the next
+        // epoch flush must catch the imbalance.
         ledger.unbalance_load_energy(load, Joules::new(1.0));
         ledger.advance_to(SimTime::from_secs(2));
+        ledger
+            .set_load_current(load, Amps::from_milli(2.0))
+            .unwrap();
     }
 
     #[test]
@@ -1003,7 +662,8 @@ mod tests {
                 .unwrap();
             ledger.advance_to(SimTime::from_millis(step));
         }
-        // 1 mA aggregate at 3 V for 1 s = 3 mJ; the two accumulators agree.
+        // Every set above closed an epoch and checked the flushed total
+        // against the per-load sum. 1 mA aggregate at 3 V for 1 s = 3 mJ.
         assert!((ledger.total_energy().value() - 3e-3).abs() < 1e-9);
     }
 

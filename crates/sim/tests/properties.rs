@@ -1,8 +1,76 @@
 //! Property-based tests for the simulation kernel.
 
-use picocube_sim::{EventQueue, PowerLedger, ScalarTrace, SimTime};
+use picocube_sim::{EventQueue, LoadId, PowerLedger, RailId, ScalarTrace, SimTime};
+use picocube_telemetry::Metrics;
+use picocube_units::json::ToJson;
 use picocube_units::{Amps, Volts};
 use proptest::prelude::*;
+
+/// One step of a ledger script: `(kind, which, value, dt_ns)`. Kind 0 sets
+/// load `which`'s current to `value` A, kind 1 sets rail `which`'s voltage
+/// to `value * 1e3` V, anything else advances the clock by `dt_ns`.
+type LedgerStep = (u8, usize, f64, u64);
+
+/// A two-rail, three-load ledger and its handles.
+fn script_ledger() -> (PowerLedger, [RailId; 2], [LoadId; 3]) {
+    let mut ledger = PowerLedger::new();
+    let vbat = ledger.add_rail("VBAT", Volts::new(1.2));
+    let vdd = ledger.add_rail("VDD", Volts::new(2.4));
+    let loads = [
+        ledger.register_load(vbat, "radio").unwrap(),
+        ledger.register_load(vdd, "mcu").unwrap(),
+        ledger.register_load(vdd, "sensor").unwrap(),
+    ];
+    (ledger, [vbat, vdd], loads)
+}
+
+/// Replays `script`, splitting every advance at the clock points `splits`
+/// yields (each strictly inside the advance, in order).
+fn replay(
+    script: &[LedgerStep],
+    mut splits: impl FnMut(u64, u64) -> Vec<u64>,
+) -> (PowerLedger, [RailId; 2], [LoadId; 3]) {
+    let (mut ledger, rails, loads) = script_ledger();
+    for &(kind, which, value, dt_ns) in script {
+        match kind {
+            0 => ledger
+                .set_load_current(loads[which % loads.len()], Amps::new(value))
+                .unwrap(),
+            1 => ledger
+                .set_rail_voltage(rails[which % rails.len()], Volts::new(value * 1e3))
+                .unwrap(),
+            _ => {
+                let from = ledger.now().as_nanos();
+                for t in splits(from, from + dt_ns) {
+                    ledger.advance_to(SimTime::from_nanos(t));
+                }
+                ledger.advance_to(SimTime::from_nanos(from + dt_ns));
+            }
+        }
+    }
+    (ledger, rails, loads)
+}
+
+/// Every energy the ledger reports, as exact bit patterns, plus the
+/// exported metric registry.
+fn energy_bits(
+    (ledger, rails, loads): &(PowerLedger, [RailId; 2], [LoadId; 3]),
+) -> (Vec<u64>, String) {
+    let mut bits: Vec<u64> = loads
+        .iter()
+        .map(|&l| ledger.load_energy(l).unwrap().value().to_bits())
+        .collect();
+    bits.extend(
+        rails
+            .iter()
+            .map(|&r| ledger.rail_energy(r).unwrap().value().to_bits()),
+    );
+    bits.push(ledger.total_energy().value().to_bits());
+    bits.push(ledger.report().total_energy.value().to_bits());
+    let mut metrics = Metrics::new();
+    ledger.export_metrics(&mut metrics);
+    (bits, metrics.to_json().to_string())
+}
 
 proptest! {
     #[test]
@@ -62,6 +130,28 @@ proptest! {
         let got = ledger.total_energy().value();
         prop_assert!((got - expected).abs() <= 1e-12 + 1e-9 * expected.abs(),
             "got {got}, expected {expected}");
+    }
+
+    #[test]
+    fn ledger_energy_is_invariant_under_advance_chopping(
+        script in prop::collection::vec((0u8..4, 0usize..3, 0.0f64..5e-3, 0u64..50_000_000), 1..60),
+        cuts in prop::collection::vec(0u64..1_000_000, 1..200),
+    ) {
+        // Draw-epoch accounting: advancing the clock does no arithmetic,
+        // so splitting any advance into extra intermediate advances must
+        // leave every energy bit-identical.
+        let whole = energy_bits(&replay(&script, |_, _| Vec::new()));
+        let mut cut = cuts.iter().cycle();
+        let chopped = energy_bits(&replay(&script, |from, to| {
+            let pieces = cut.next().map_or(0, |c| c % 4);
+            let mut points: Vec<u64> = (0..pieces)
+                .filter_map(|_| cut.next())
+                .map(|c| from + c * (to - from) / 1_000_000)
+                .collect();
+            points.sort_unstable();
+            points
+        }));
+        prop_assert_eq!(whole, chopped);
     }
 
     #[test]
