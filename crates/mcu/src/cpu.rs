@@ -1,10 +1,17 @@
-//! The MSP430-subset CPU: fetch/decode/execute with cycle accounting.
+//! The MSP430-subset CPU: micro-op execution with cycle accounting.
+//!
+//! Every instruction runs as a [`UInsn`] through one executor
+//! (`exec_uop`). The micro-op comes from the image's pre-decoded
+//! [`UopCache`] where it has a slot; otherwise — odd PCs, decode holes,
+//! code outside the image, any PC once flash has been written, or every PC
+//! with translation off — it is decoded on the spot from live memory by
+//! the same decoder that built the cache.
 
-use crate::isa::{Condition, Format1Op, Format2Op};
+use crate::isa::{Format1Op, Format2Op};
 use crate::memory::{FlatMemory, Image};
 use crate::peripherals::{Irq, Peripherals, SpiDevice};
 use crate::power_model::{McuPowerModel, OperatingMode};
-use crate::uops::{CoveredSpan, UInsn, UopCache};
+use crate::uops::{decode_at, CoveredSpan, DstOp, SrcOp, UInsn, UOp, UopCache};
 use std::sync::Arc;
 
 /// Carry flag bit in `SR`.
@@ -140,12 +147,12 @@ pub struct Mcu {
     /// cores running identical firmware.
     uops: Option<Arc<UopCache>>,
     /// The flash span `uops` was decoded from, kept as plain data so the
-    /// self-modifying-code guard never reads `uops` (the run loops hold
-    /// the cache outside `self` while they execute).
+    /// self-modifying-code guard never reads `uops` (the run loop holds
+    /// the cache outside `self` while it executes).
     uops_span: CoveredSpan,
-    /// Whether the decoded path may be used. Cleared on any write into
-    /// the cached flash span (self-modifying code falls back to the
-    /// interpreter for the rest of the run).
+    /// Whether the cache may be used. Cleared on any write into the cached
+    /// flash span (self-modifying code then decodes every instruction
+    /// from live memory for the rest of the run).
     uops_on: bool,
     /// Latched by the self-modifying-code guard: some write landed in the
     /// cached flash span, so the cache no longer matches memory.
@@ -187,7 +194,7 @@ impl Mcu {
 
     /// Loads a program image into memory and pre-decodes it into the
     /// translation cache. Loading a second image replaces the cache, so
-    /// only the most recent image executes through the decoded path.
+    /// only the most recent image executes from cached micro-ops.
     pub fn load(&mut self, image: &Image) {
         self.mem.load(image);
         // Every decoded instruction lies wholly inside the image's segments,
@@ -200,9 +207,10 @@ impl Mcu {
     }
 
     /// Enables or disables the pre-decoded translation cache (testing /
-    /// benchmarking hook; both paths are bit-identical). Re-enabling
-    /// after a write into cached flash is unsupported — the cache would
-    /// be stale — so `true` only takes effect while the image is intact.
+    /// benchmarking hook). Off, every instruction is decoded from live
+    /// memory; both ways are bit-identical. Re-enabling after a write
+    /// into cached flash is unsupported — the cache would be stale — so
+    /// `true` only takes effect while the image is intact.
     pub fn set_translation(&mut self, on: bool) {
         if on {
             self.uops_on = self.uops.is_some() && !self.flash_dirty;
@@ -278,11 +286,13 @@ impl Mcu {
     }
 
     /// Self-modifying-code guard: a write into the cached flash span makes
-    /// the pre-decoded stream stale, so the core permanently drops back to
-    /// the interpreter (which reads memory as written).
+    /// the pre-decoded stream stale, so the core permanently decodes from
+    /// live memory (which reads it as written). The write counts with
+    /// translation off too, so [`Mcu::set_translation`] cannot re-enable
+    /// a stale cache.
     #[inline]
     fn invalidate_uops(&mut self, addr: u16) {
-        if self.uops_on && self.uops_span.covers(addr) {
+        if self.uops_span.covers(addr) {
             self.uops_on = false;
             self.flash_dirty = true;
         }
@@ -352,127 +362,18 @@ impl Mcu {
         self.pending != 0
     }
 
-    /// Executes one instruction, services one interrupt, or reports sleep.
+    /// Executes one instruction, services one interrupt, or reports sleep:
+    /// a [`Mcu::run_segment`] with a budget of one instruction, whose cost
+    /// is the clock's advance.
     pub fn step(&mut self) -> StepResult {
-        let cache = self.uops.take();
-        let result = self.step_with(cache.as_ref());
-        self.uops = cache;
-        result
-    }
-
-    /// [`Mcu::step`] with the decoded table passed in (the run loops hold
-    /// it outside `self`).
-    fn step_with(&mut self, cache: Option<&Arc<UopCache>>) -> StepResult {
-        if self.halted_on_fault {
-            return StepResult::IllegalInstruction {
-                word: 0,
-                at: self.regs[PC],
-            };
-        }
-        // Interrupt dispatch: GIE must be set (an interrupt also wakes any
-        // LPM, clearing the low-power bits for the ISR's duration). The
-        // lowest set bit of the pending mask is the highest-priority
-        // request — same order the sorted-vector queue used to dispatch.
-        if self.pending != 0 && self.regs[SR] & FLAG_GIE != 0 {
-            for irq in Irq::PRIORITY {
-                if self.pending & irq.mask() != 0 {
-                    self.pending &= !irq.mask();
-                    let cycles = self.enter_interrupt(irq);
-                    self.tick_peripherals(cycles);
-                    return StepResult::Ran { cycles };
-                }
-            }
-        }
-        if self.regs[SR] & FLAG_CPUOFF != 0 {
-            return StepResult::Sleeping(self.mode());
-        }
-        // Decoded fast path: firmware is immutable after load, so the
-        // pre-decoded micro-op (when one exists for this PC) replays the
-        // interpreter bit-identically without refetching or redecoding.
-        if self.uops_on {
-            let pc = self.regs[PC];
-            if let Some(u) = cache.and_then(|c| c.lookup(pc)) {
-                let cycles = self.exec_uop(u);
-                self.tick_peripherals(cycles);
-                return StepResult::Ran { cycles };
-            }
-        }
-        let at = self.regs[PC];
-        let word = self.fetch16();
-        let cycles = match self.execute(word) {
-            Some(c) => c,
-            None => {
-                self.halted_on_fault = true;
-                self.regs[PC] = at;
-                return StepResult::IllegalInstruction { word, at };
-            }
-        };
-        self.tick_peripherals(cycles);
-        StepResult::Ran { cycles }
-    }
-
-    /// Runs until the core sleeps, faults, or `max_cycles` elapse. Returns
-    /// the cycles consumed.
-    ///
-    /// Streams through decoded basic blocks where it can: between block
-    /// boundaries (branches, calls, `reti`, SR writes) the SR cannot
-    /// change, so only a freshly latched interrupt needs re-checking per
-    /// instruction; everything else re-enters the full [`Mcu::step`]
-    /// dispatch.
-    pub fn run(&mut self, max_cycles: u64) -> u64 {
-        // The decoded table stays outside `self` for the whole run, so the
-        // loop reads it without refcount traffic.
-        let cache = self.uops.take();
-        let ran = self.run_with(cache.as_ref(), max_cycles);
-        self.uops = cache;
-        ran
-    }
-
-    fn run_with(&mut self, cache: Option<&Arc<UopCache>>, max_cycles: u64) -> u64 {
         let start = self.cycles;
-        while self.cycles - start < max_cycles {
-            if self.uops_on && !self.halted_on_fault {
-                let sr = self.regs[SR];
-                let mut gie = sr & FLAG_GIE != 0;
-                if sr & FLAG_CPUOFF == 0 && (!gie || self.pending == 0) {
-                    let mut advanced = false;
-                    if let Some(cache) = cache {
-                        while self.uops_on && self.cycles - start < max_cycles {
-                            let Some(u) = cache.lookup(self.regs[PC]) else {
-                                break;
-                            };
-                            let cycles = self.exec_uop(u);
-                            self.tick_peripherals(cycles);
-                            advanced = true;
-                            if gie && self.pending != 0 {
-                                break;
-                            }
-                            if u.ends_block {
-                                // Only SR-writing forms end blocks, so the
-                                // hoisted GIE/CPUOFF state is refreshed here
-                                // and streaming continues across the jump.
-                                let sr = self.regs[SR];
-                                if sr & FLAG_CPUOFF != 0 {
-                                    break;
-                                }
-                                gie = sr & FLAG_GIE != 0;
-                                if gie && self.pending != 0 {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if advanced {
-                        continue;
-                    }
-                }
-            }
-            match self.step_with(cache) {
-                StepResult::Ran { .. } => {}
-                _ => break,
-            }
+        match self.run_segment(u64::MAX, 1, &mut InsnCount::default()) {
+            SegmentStop::Budget | SegmentStop::Observable => StepResult::Ran {
+                cycles: (self.cycles - start) as u32,
+            },
+            SegmentStop::Sleeping(mode) => StepResult::Sleeping(mode),
+            SegmentStop::Fault { word, at } => StepResult::IllegalInstruction { word, at },
         }
-        self.cycles - start
     }
 
     /// Externally observable state: GPIO output pins, SPI engine activity,
@@ -492,14 +393,13 @@ impl Mcu {
     /// board-observable changes, recording each instruction in `log`.
     ///
     /// Semantically this is exactly a sequence of [`Mcu::step`] calls — same
-    /// interrupt dispatch, same decoded-path/interpreter split, same fault
-    /// latching — stopping *after* the first step that changes an observable
-    /// (GPIO output pins, SPI activity, operating mode — the
-    /// [`SegmentStop::Observable`] set), *before* a step that would exceed the
-    /// budget, or when the core reports sleep or faults. The caller can
-    /// therefore integrate power over the whole segment and re-inspect
-    /// pins/SPI/mode once at the boundary instead of after every
-    /// instruction.
+    /// interrupt dispatch, same fault latching — stopping *after* the first
+    /// step that changes an observable (GPIO output pins, SPI activity,
+    /// operating mode — the [`SegmentStop::Observable`] set), *before* a
+    /// step that would exceed the budget, or when the core reports sleep or
+    /// faults. The caller can therefore integrate power over the whole
+    /// segment and re-inspect pins/SPI/mode once at the boundary instead of
+    /// after every instruction.
     ///
     /// `limit_cycles` is an *absolute* cycle count: no instruction starts
     /// once `self.cycles() >= limit_cycles` (matching a caller loop of the
@@ -511,7 +411,8 @@ impl Mcu {
         max_insns: usize,
         log: &mut L,
     ) -> SegmentStop {
-        // As in [`Mcu::run`]: hold the decoded table outside `self`.
+        // The decoded table stays outside `self` for the whole segment, so
+        // the loop reads it without refcount traffic.
         let cache = self.uops.take();
         let stop = self.segment_with(cache.as_ref(), limit_cycles, max_insns, log);
         self.uops = cache;
@@ -536,6 +437,10 @@ impl Mcu {
                     at: self.regs[PC],
                 };
             }
+            // Interrupt dispatch: GIE must be set (an interrupt also wakes
+            // any LPM, clearing the low-power bits for the ISR's duration).
+            // The lowest set bit of the pending mask is the
+            // highest-priority request.
             let sr = self.regs[SR];
             if self.pending != 0 && sr & FLAG_GIE != 0 {
                 for irq in Irq::PRIORITY {
@@ -555,8 +460,7 @@ impl Mcu {
             if sr & FLAG_CPUOFF != 0 {
                 return SegmentStop::Sleeping(self.mode());
             }
-            // Decoded fast path: stream micro-ops without leaving the loop.
-            // Unlike [`Mcu::run`]'s per-block streaming this continues
+            // Cached fast path: stream micro-ops without leaving the loop,
             // straight through basic-block boundaries, re-reading SR at each
             // one (only SR-writing instructions end blocks, so between
             // boundaries the hoisted GIE/CPUOFF state cannot go stale).
@@ -601,25 +505,33 @@ impl Mcu {
                     }
                 }
             }
-            // Interpreter fallback (translation disabled, or a decode hole /
-            // self-modified span): one full fetch-decode-execute step.
-            let at = self.regs[PC];
-            let word = self.fetch16();
-            match self.execute(word) {
-                Some(c) => {
-                    self.tick_peripherals(c);
-                    log.record(c);
-                    if self.observables() != base {
-                        return SegmentStop::Observable;
-                    }
-                }
-                None => {
-                    self.halted_on_fault = true;
-                    self.regs[PC] = at;
-                    return SegmentStop::Fault { word, at };
-                }
+            // No cached micro-op (translation off, a decode hole, or a
+            // self-modified span): decode this one from live memory.
+            let Some(cycles) = self.exec_live() else {
+                let at = self.regs[PC];
+                return SegmentStop::Fault {
+                    word: self.mem.read16(at),
+                    at,
+                };
+            };
+            self.tick_peripherals(cycles);
+            log.record(cycles);
+            if self.observables() != base {
+                return SegmentStop::Observable;
             }
         }
+    }
+
+    /// Executes the instruction at the PC decoded from live memory, or
+    /// latches an illegal-instruction fault (PC unmoved) where nothing
+    /// decodes. Kept out of line so the cached stream's loop stays compact.
+    #[inline(never)]
+    fn exec_live(&mut self) -> Option<u32> {
+        let Some(u) = decode_at(&self.mem, self.regs[PC]) else {
+            self.halted_on_fault = true;
+            return None;
+        };
+        Some(self.exec_uop(u))
     }
 
     /// Fast-forwards the two-instruction SPI busy-wait idiom
@@ -783,12 +695,6 @@ impl Mcu {
         v
     }
 
-    fn fetch16(&mut self) -> u16 {
-        let w = self.mem.read16(self.regs[PC]);
-        self.regs[PC] = self.regs[PC].wrapping_add(2);
-        w
-    }
-
     fn mem_read16(&self, addr: u16) -> u16 {
         if Peripherals::owns(addr) {
             u16::from(self.periph.read(addr)) | (u16::from(self.periph.read(addr + 1)) << 8)
@@ -829,70 +735,6 @@ impl Mcu {
             }
         } else {
             self.mem_write16(addr, value);
-        }
-    }
-
-    /// Resolves a source operand. Returns `(value, write_back_addr, extra_cycles)`.
-    fn resolve_src(&mut self, reg: usize, as_mode: u16, byte: bool) -> (u16, Option<u16>, u32) {
-        match (reg, as_mode) {
-            // Constant generators.
-            (SR, 0b10) => (4, None, 0),
-            (SR, 0b11) => (8, None, 0),
-            (3, 0b00) => (0, None, 0),
-            (3, 0b01) => (1, None, 0),
-            (3, 0b10) => (2, None, 0),
-            (3, 0b11) => (0xFFFF, None, 0),
-            // Register direct.
-            (r, 0b00) => {
-                let v = self.regs[r];
-                (if byte { v & 0xFF } else { v }, None, 0)
-            }
-            // Absolute &ADDR (SR with indexed mode).
-            (SR, 0b01) => {
-                let addr = self.fetch16();
-                (self.mem_read(addr, byte), Some(addr), 2)
-            }
-            // Indexed X(Rn) — including symbolic X(PC), where the base is
-            // the PC at the extension word.
-            (r, 0b01) => {
-                let base = self.regs[r];
-                let x = self.fetch16();
-                let addr = base.wrapping_add(x);
-                (self.mem_read(addr, byte), Some(addr), 2)
-            }
-            // Indirect @Rn.
-            (r, 0b10) => {
-                let addr = self.regs[r];
-                (self.mem_read(addr, byte), Some(addr), 1)
-            }
-            // Immediate #N (@PC+).
-            (PC, 0b11) => {
-                let v = self.fetch16();
-                (if byte { v & 0xFF } else { v }, None, 1)
-            }
-            // Indirect autoincrement @Rn+.
-            (r, 0b11) => {
-                let addr = self.regs[r];
-                self.regs[r] = self.regs[r].wrapping_add(if byte { 1 } else { 2 });
-                (self.mem_read(addr, byte), Some(addr), 1)
-            }
-            _ => unreachable!("2-bit addressing mode"),
-        }
-    }
-
-    /// Resolves a destination operand location: register index or address.
-    fn resolve_dst(&mut self, reg: usize, ad: u16, byte: bool) -> (u16, DstLoc, u32) {
-        if ad == 0 {
-            let v = self.regs[reg];
-            (if byte { v & 0xFF } else { v }, DstLoc::Reg(reg), 0)
-        } else {
-            let x = self.fetch16();
-            let addr = if reg == SR {
-                x
-            } else {
-                self.regs[reg].wrapping_add(x)
-            };
-            (self.mem_read(addr, byte), DstLoc::Mem(addr), 3)
         }
     }
 
@@ -979,46 +821,7 @@ impl Mcu {
         result
     }
 
-    fn execute(&mut self, word: u16) -> Option<u32> {
-        let top = word >> 12;
-        if top == 0x1 {
-            return self.execute_format2(word);
-        }
-        if top >> 1 == 0x1 {
-            // 0x2000..=0x3FFF: jumps.
-            let cond = Condition::from_bits((word >> 10) & 0x7);
-            let mut offset = i32::from(word & 0x3FF);
-            if offset & 0x200 != 0 {
-                offset -= 0x400;
-            }
-            if cond.taken(self.regs[SR]) {
-                self.regs[PC] = self.regs[PC].wrapping_add((2 * offset) as u16);
-            }
-            return Some(2);
-        }
-        let op = Format1Op::from_opcode(top)?;
-        let src_reg = usize::from((word >> 8) & 0xF);
-        let ad = (word >> 7) & 1;
-        let byte = (word >> 6) & 1 != 0;
-        let as_mode = (word >> 4) & 0x3;
-        let dst_reg = usize::from(word & 0xF);
-
-        let (src, _, src_cycles) = self.resolve_src(src_reg, as_mode, byte);
-        let (dst, loc, dst_cycles) = self.resolve_dst(dst_reg, ad, byte);
-
-        let result = self.format1_result(op, src, dst, byte);
-        if op.writes_back() {
-            self.write_dst(loc, result, byte);
-        }
-        let mut cycles = 1 + src_cycles + dst_cycles;
-        if matches!(loc, DstLoc::Reg(0)) && op.writes_back() {
-            cycles += 1; // writing the PC costs an extra cycle
-        }
-        Some(cycles)
-    }
-
-    /// The format-I ALU: computes the result and sets flags. Shared by the
-    /// interpreter and the decoded path so their semantics cannot drift.
+    /// The format-I ALU: computes the result and sets flags.
     fn format1_result(&mut self, op: Format1Op, src: u16, dst: u16, byte: bool) -> u16 {
         let carry = u16::from(self.regs[SR] & FLAG_C != 0);
         match op {
@@ -1054,32 +857,11 @@ impl Mcu {
         }
     }
 
-    fn execute_format2(&mut self, word: u16) -> Option<u32> {
-        let opbits = (word >> 7) & 0x7;
-        let op = Format2Op::from_bits(opbits)?;
-        if op == Format2Op::Reti {
-            self.regs[SR] = self.pop();
-            self.regs[PC] = self.pop();
-            return Some(5);
-        }
-        let byte = (word >> 6) & 1 != 0;
-        let as_mode = (word >> 4) & 0x3;
-        let reg = usize::from(word & 0xF);
-        let (value, addr, src_cycles) = self.resolve_src(reg, as_mode, byte);
-        self.format2_apply(op, value, byte, addr, reg);
-        let base = match op {
-            Format2Op::Push => 3,
-            Format2Op::Call => 4,
-            _ => 1,
-        };
-        Some(base + src_cycles)
-    }
-
-    /// The format-II operation body: flags, result and writeback. Shared by
-    /// the interpreter and the decoded path so their semantics cannot
-    /// drift. `addr` is the operand's writeback address when it had one;
-    /// otherwise the result lands in `regs[reg]` (including the
-    /// constant-generator quirk of writing R2/R3).
+    /// The format-II operation body: flags, result and writeback. `addr` is
+    /// the operand's writeback address when it had one; otherwise the
+    /// result lands in `regs[reg]` (including the constant-generator quirk
+    /// of writing R2/R3). `reti` ignores its operand and restores SR and PC
+    /// from the stack.
     fn format2_apply(
         &mut self,
         op: Format2Op,
@@ -1153,7 +935,10 @@ impl Mcu {
                 self.push(self.regs[PC]);
                 self.regs[PC] = value;
             }
-            Format2Op::Reti => unreachable!("dispatched before operand resolution"),
+            Format2Op::Reti => {
+                self.regs[SR] = self.pop();
+                self.regs[PC] = self.pop();
+            }
         }
     }
 
@@ -1167,12 +952,10 @@ impl Mcu {
         }
     }
 
-    /// Executes one pre-decoded micro-op. Mirrors the interpreter exactly:
+    /// Executes one micro-op, the only way an instruction runs.
     /// PC-dependent operands were folded at decode time (so the PC can be
-    /// bumped up front), memory operands stay dynamic, and the ALU/flag
-    /// bodies are the same functions the interpreter calls.
-    fn exec_uop(&mut self, u: crate::uops::UInsn) -> u32 {
-        use crate::uops::UOp;
+    /// bumped up front); memory operands stay dynamic.
+    fn exec_uop(&mut self, u: UInsn) -> u32 {
         match u.op {
             UOp::Fmt1 { op, byte, src, dst } => {
                 self.regs[PC] = u.next_pc;
@@ -1198,18 +981,12 @@ impl Mcu {
                 };
                 2
             }
-            UOp::Reti => {
-                self.regs[SR] = self.pop();
-                self.regs[PC] = self.pop();
-                5
-            }
         }
     }
 
     /// Reads a pre-decoded source operand (value only).
     #[inline]
-    fn read_src_uop(&mut self, src: crate::uops::SrcOp, byte: bool) -> u16 {
-        use crate::uops::SrcOp;
+    fn read_src_uop(&mut self, src: SrcOp, byte: bool) -> u16 {
         match src {
             SrcOp::Const(v) => v,
             SrcOp::Reg(r) => {
@@ -1235,10 +1012,9 @@ impl Mcu {
     }
 
     /// Reads a pre-decoded source operand plus its writeback address (the
-    /// format-II shape; matches `resolve_src`'s `Option<u16>`).
+    /// format-II shape).
     #[inline]
-    fn read_src_addr_uop(&mut self, src: crate::uops::SrcOp, byte: bool) -> (u16, Option<u16>) {
-        use crate::uops::SrcOp;
+    fn read_src_addr_uop(&mut self, src: SrcOp, byte: bool) -> (u16, Option<u16>) {
         match src {
             SrcOp::Const(v) => (v, None),
             SrcOp::Reg(r) => {
@@ -1264,8 +1040,7 @@ impl Mcu {
 
     /// Reads a pre-decoded destination operand: current value + location.
     #[inline]
-    fn read_dst_uop(&mut self, dst: crate::uops::DstOp, byte: bool) -> (u16, DstLoc) {
-        use crate::uops::DstOp;
+    fn read_dst_uop(&mut self, dst: DstOp, byte: bool) -> (u16, DstLoc) {
         match dst {
             DstOp::Reg(r) => {
                 let v = self.regs[usize::from(r)];
@@ -1687,6 +1462,29 @@ isr:    mov #7, r5
         assert_eq!(mcu.register(5), 7);
         assert_eq!(mcu.mode(), OperatingMode::Active);
         assert_eq!(mcu.register(6), 1);
+    }
+
+    #[test]
+    fn flash_written_with_translation_off_keeps_the_cache_off() {
+        // A write into cached flash while translation is off still makes
+        // the cache stale, so turning translation back on must not run the
+        // old decode of the patched instruction.
+        let mut mcu = boot(
+            r#"
+            .org 0xF000
+start:  mov #0x4506, &patch   ; overwrite "mov r4, r6" with "mov r5, r6"
+        mov #0x1111, r4
+        mov #0x2222, r5
+patch:  mov r4, r6
+halt:   jmp halt
+        .vector reset, start
+        "#,
+        );
+        mcu.set_translation(false);
+        run_steps(&mut mcu, 1);
+        mcu.set_translation(true);
+        run_steps(&mut mcu, 3);
+        assert_eq!(mcu.register(6), 0x2222, "the patched instruction must run");
     }
 
     #[test]

@@ -103,8 +103,7 @@ fn render_src(mem: &FlatMemory, pc_ext: u16, reg: u16, as_mode: u16) -> (String,
         (r, 0b01) => (format!("{:#06x}({})", mem.read16(pc_ext), reg_name(r)), 1),
         (r, 0b10) => (format!("@{}", reg_name(r)), 0),
         (0, 0b11) => (format!("#{:#06x}", mem.read16(pc_ext)), 1),
-        (r, 0b11) => (format!("@{}+", reg_name(r)), 0),
-        _ => unreachable!("2-bit field"),
+        (r, _) => (format!("@{}+", reg_name(r)), 0),
     }
 }
 

@@ -1,10 +1,7 @@
-//! Pre-decoded firmware translation cache: the micro-op stream.
+//! The micro-op decoder and the pre-decoded firmware translation cache.
 //!
-//! Firmware is immutable after [`Mcu::load`](crate::cpu::Mcu::load), so the
-//! fetch/decode work the interpreter repeats on every execution can be done
-//! once, at load time. Each word-aligned address inside the image's
-//! segments gets an independent decode attempt (so interleaved data tables
-//! cannot desynchronize a linear sweep), producing a compact [`UInsn`] with
+//! [`decode_at`] is the core's only instruction decoder. It turns the
+//! instruction at an address into a compact [`UInsn`] with
 //!
 //! * operand forms made explicit ([`SrcOp`]/[`DstOp`]): register, indexed,
 //!   indirect, autoincrement, immediate;
@@ -14,38 +11,42 @@
 //! * a basic-block boundary marker (`ends_block`) on branches, calls,
 //!   `reti` and anything that can write SR — between markers the status
 //!   register cannot change, which is what lets
-//!   [`Mcu::run`](crate::cpu::Mcu::run) stream a block without re-checking
-//!   the sleep/fault state per instruction.
+//!   [`Mcu::run_segment`](crate::cpu::Mcu::run_segment) stream micro-ops
+//!   without re-checking the sleep/interrupt state per instruction.
 //!
-//! Decoding reuses [`disasm::decode_one`] as the gatekeeper: an address
-//! gets a micro-op only if the disassembler decodes it, so the decoded
-//! path's coverage is exactly the interpreter's decodable set and
-//! undecodable words fault through the identical interpreter path.
+//! Firmware is immutable after [`Mcu::load`](crate::cpu::Mcu::load), so the
+//! decode can be done once, at load time: each word-aligned address inside
+//! the image's segments gets an independent decode attempt (so interleaved
+//! data tables cannot desynchronize a linear sweep), and the results form
+//! the [`UopCache`]. Where the cache has no slot the core calls
+//! [`decode_at`] on live memory instead, so both ways run the same
+//! micro-op through the same executor. The decoder rejects exactly the
+//! words [`disasm::decode_one`](crate::disasm::decode_one) rejects, with
+//! the same sizes (pinned by a test over every first word).
 //!
 //! The cache is a pure function of the [`Image`], which makes it shareable:
 //! a process-wide registry deduplicates caches by image content, so a
 //! million-node fleet running 256 distinct firmware variants builds 256
 //! caches, not a million. Self-modifying code is handled in the CPU layer:
-//! any write landing in [`UopCache::covers`] permanently drops that core
-//! back to the interpreter (the shared cache itself is immutable).
+//! any write landing in [`UopCache::span`] permanently switches that core
+//! to decoding from live memory (the shared cache itself is immutable).
 //!
-//! No JIT, no `unsafe`: this is still the same interpreter, minus the
-//! per-execution fetch/decode — behavior (cycles, flags, interrupt points,
-//! fault latching) is pinned bit-identical by the differential suite in
-//! `tests/differential.rs` and the golden traces.
+//! No JIT, no `unsafe`. Behavior (cycles, flags, interrupt points, fault
+//! latching) is pinned by the differential suite in `tests/differential.rs`
+//! against a trace frozen from the original interpreter, and by the golden
+//! traces.
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::disasm;
 use crate::isa::{Condition, Format1Op, Format2Op};
 use crate::memory::{FlatMemory, Image};
 
 /// A source operand with every static part resolved at decode time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SrcOp {
-    /// Fully static value: constant generators (unmasked, as the
-    /// interpreter leaves them), immediates (byte-masked), and
-    /// register-direct PC reads folded to the known next-word address.
+    /// Fully static value: constant generators (never byte-masked),
+    /// immediates (byte-masked), and register-direct PC reads folded to
+    /// the known next-word address.
     Const(u16),
     /// Register direct (byte ops mask on read).
     Reg(u8),
@@ -67,8 +68,7 @@ pub(crate) enum DstOp {
     /// Register direct (byte ops mask on read).
     Reg(u8),
     /// Register-direct PC: the read value is static, and writing it back
-    /// costs the extra cycle the interpreter charges for `DstLoc::Reg(0)`
-    /// (already folded into [`UInsn::cycles`]).
+    /// costs an extra cycle (already folded into [`UInsn::cycles`]).
     PcReg(u16),
     /// Static memory address (`&ADDR`, or `X(PC)` folded).
     Mem(u16),
@@ -90,7 +90,8 @@ pub(crate) enum UOp {
         /// Destination operand.
         dst: DstOp,
     },
-    /// Single-operand format II (except `reti`).
+    /// Single-operand format II, `reti` included (its operand is an unused
+    /// constant).
     Fmt2 {
         /// The operation.
         op: Format2Op,
@@ -110,8 +111,6 @@ pub(crate) enum UOp {
         /// Absolute branch target.
         target: u16,
     },
-    /// Return from interrupt.
-    Reti,
 }
 
 /// One pre-decoded instruction.
@@ -129,9 +128,9 @@ pub(crate) struct UInsn {
     /// Head of the two-instruction SPI busy-wait idiom
     /// (`bit.b #1, &SPISTAT` followed by a `jnz` straight back to it):
     /// [`Mcu::run_segment`](crate::cpu::Mcu::run_segment) fast-forwards the
-    /// spin without per-iteration dispatch. Purely an execution hint —
-    /// `step`/`run` ignore it, and the fused loop replays the exact
-    /// per-instruction flags, cycles, and peripheral ticks.
+    /// spin without per-iteration dispatch. Purely an execution hint — the
+    /// fused loop replays the exact per-instruction flags, cycles, and
+    /// peripheral ticks.
     pub spin_spi: bool,
 }
 
@@ -166,8 +165,9 @@ pub(crate) struct UopCache {
 }
 
 impl UopCache {
-    /// Looks up the micro-op for `pc`. Odd PCs are left to the interpreter
-    /// (which models the hardware's low-bit masking plus odd increments).
+    /// Looks up the micro-op for `pc`. Odd PCs get no slot; the core
+    /// decodes them from live memory (which models the hardware's low-bit
+    /// masking plus odd increments).
     #[inline]
     pub(crate) fn lookup(&self, pc: u16) -> Option<UInsn> {
         let off = pc.wrapping_sub(self.base);
@@ -290,12 +290,12 @@ impl UopCache {
     }
 }
 
-/// Decodes the instruction at `at` into a micro-op, or `None` where the
-/// interpreter would fault. [`disasm::decode_one`] is the gatekeeper, so
-/// coverage is exactly the disassembler's (= the interpreter's) decodable
-/// set; the field extraction mirrors `Mcu::execute` form by form.
-fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
-    let decoded = disasm::decode_one(mem, at).ok()?;
+/// Decodes the instruction at `at` into a micro-op, or `None` for a word
+/// outside the implemented subset (the core latches an illegal-instruction
+/// fault there). Extension words are read from `at + 2` on, wrapping at
+/// the top of the address space.
+#[inline]
+pub(crate) fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
     let word = mem.read16(at);
     let top = word >> 12;
 
@@ -319,22 +319,18 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
     // Format II.
     if top == 0x1 {
         let op = Format2Op::from_bits((word >> 7) & 0x7)?;
-        if op == Format2Op::Reti {
-            return Some(UInsn {
-                op: UOp::Reti,
-                next_pc: at.wrapping_add(2),
-                cycles: 5,
-                ends_block: true,
-                spin_spi: false,
-            });
-        }
         let byte = (word >> 6) & 1 != 0;
-        let as_mode = (word >> 4) & 0x3;
         let reg = word & 0xF;
-        let (src, ext, src_cycles) = decode_src(mem, at, reg, as_mode, byte);
+        // `reti` is one word whatever its operand bits say.
+        let (src, ext, src_cycles) = if op == Format2Op::Reti {
+            (SrcOp::Const(0), 0, 0)
+        } else {
+            decode_src(mem, at, reg, (word >> 4) & 0x3, byte)
+        };
         let base = match op {
             Format2Op::Push => 3,
             Format2Op::Call => 4,
+            Format2Op::Reti => 5,
             _ => 1,
         };
         // Register-form results (no writeback address) land in the raw
@@ -344,8 +340,8 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
                 op,
                 Format2Op::Rrc | Format2Op::Rra | Format2Op::Swpb | Format2Op::Sxt
             );
-        let ends_block = op == Format2Op::Call || (reg_result && (reg == 0 || reg == 2));
-        debug_assert_eq!(decoded.size, 2 + 2 * ext);
+        let ends_block = matches!(op, Format2Op::Call | Format2Op::Reti)
+            || (reg_result && (reg == 0 || reg == 2));
         return Some(UInsn {
             op: UOp::Fmt2 {
                 op,
@@ -396,7 +392,6 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
         cycles += 1; // writing the PC costs an extra cycle
     }
     let ends_block = op.writes_back() && matches!(dst, DstOp::PcReg(_) | DstOp::Reg(2));
-    debug_assert_eq!(decoded.size, 2 + 2 * (src_ext + dst_ext));
     Some(UInsn {
         op: UOp::Fmt1 { op, byte, src, dst },
         next_pc: at.wrapping_add(2 + 2 * (src_ext + dst_ext)),
@@ -406,14 +401,15 @@ fn decode_at(mem: &FlatMemory, at: u16) -> Option<UInsn> {
     })
 }
 
-/// Decodes a source operand. Returns `(op, extension words, extra cycles)`
-/// mirroring `Mcu::resolve_src` case by case, with every PC-dependent form
-/// folded (the PC at the extension word is `at + 2`).
+/// Decodes a source operand. Returns `(op, extension words, extra cycles)`,
+/// with every PC-dependent form folded (the PC at the extension word is
+/// `at + 2`).
+#[inline]
 fn decode_src(mem: &FlatMemory, at: u16, reg: u16, as_mode: u16, byte: bool) -> (SrcOp, u16, u32) {
     let ext_at = at.wrapping_add(2);
     let mask = |v: u16| if byte { v & 0xFF } else { v };
     match (reg, as_mode) {
-        // Constant generators: the interpreter does not byte-mask these.
+        // Constant generators: never byte-masked.
         (2, 0b10) => (SrcOp::Const(4), 0, 0),
         (2, 0b11) => (SrcOp::Const(8), 0, 0),
         (3, 0b00) => (SrcOp::Const(0), 0, 0),
@@ -431,7 +427,7 @@ fn decode_src(mem: &FlatMemory, at: u16, reg: u16, as_mode: u16, byte: bool) -> 
         // Indirect @PC reads the word after the opcode.
         (0, 0b10) => (SrcOp::Abs(ext_at), 0, 1),
         (r, 0b10) => (SrcOp::Indirect(r as u8), 0, 1),
-        // Immediate #N (@PC+); the interpreter byte-masks these.
+        // Immediate #N (@PC+), byte-masked.
         (0, 0b11) => (SrcOp::Const(mask(mem.read16(ext_at))), 1, 1),
         (r, _) => (SrcOp::AutoInc(r as u8, if byte { 1 } else { 2 }), 0, 1),
     }
@@ -502,6 +498,7 @@ pub(crate) fn cache_for(image: &Image) -> Arc<UopCache> {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::disasm;
 
     fn image(src: &str) -> Image {
         assemble(src).expect("test source assembles")
@@ -532,6 +529,39 @@ mod tests {
         }
         assert!(checked > 10, "firmware should have real code");
         assert!(cache.decoded_len() >= checked);
+    }
+
+    #[test]
+    fn decoder_agrees_with_disassembler_on_every_first_word() {
+        // Every first word, followed by fixed extension words: the micro-op
+        // decoder accepts exactly what the disassembler accepts, and both
+        // give the instruction the same size.
+        let at = 0xF000u16;
+        let mut mem = FlatMemory::new();
+        mem.write16(at + 2, 0x1234);
+        mem.write16(at + 4, 0x0202);
+        let mut accepted = 0;
+        for word in 0..=0xFFFFu16 {
+            mem.write16(at, word);
+            let u = decode_at(&mem, at);
+            let d = disasm::decode_one(&mem, at);
+            assert_eq!(
+                u.is_some(),
+                d.is_ok(),
+                "word {word:#06x}: acceptance differs"
+            );
+            if let (Some(u), Ok(d)) = (u, d) {
+                assert_eq!(
+                    u.next_pc.wrapping_sub(at),
+                    d.size,
+                    "word {word:#06x}: sizes differ"
+                );
+                accepted += 1;
+            }
+        }
+        // The only holes: opcodes 0x0000-0x0FFF, and format-II op 7 with
+        // any of its 512 operand/width patterns.
+        assert_eq!(accepted, 0x1_0000 - 0x1000 - 0x200);
     }
 
     #[test]

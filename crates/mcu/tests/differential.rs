@@ -1,12 +1,21 @@
-//! Differential suite: the pre-decoded translation cache vs the
-//! interpreter, in lockstep.
+//! Differential suite: the pre-decoded translation cache vs decoding
+//! every instruction from live memory, in lockstep, both checked against a
+//! frozen reference trace.
 //!
 //! Two cores load the same image; one runs through the micro-op cache, the
-//! other with translation disabled. After every step the full architectural
-//! state must agree: all sixteen registers, the cycle counter, the step
-//! result (including fault latching and sleep reporting), and — at
-//! checkpoints and at the end — every byte of the address space. Stimuli
-//! (interrupts, pin edges, SPI slaves, sleep fast-forwards) are mirrored.
+//! other with translation disabled, so it decodes each instruction from
+//! memory as it stands. After every step the full architectural state must
+//! agree: all sixteen registers, the cycle counter, the step result
+//! (including fault latching and sleep reporting), and — at checkpoints and
+//! at the end — every byte of the address space. Stimuli (interrupts, pin
+//! edges, SPI slaves, sleep fast-forwards) are mirrored.
+//!
+//! The live-decode core also folds every step into a running FNV-1a digest
+//! that is compared against `tests/golden/interp_trace.txt`. That file was
+//! recorded from the original fetch-decode-execute interpreter before it
+//! was retired, so it keeps the reference semantics as data. Regenerate it
+//! only from a known-good commit with
+//! `UPDATE_GOLDEN=1 cargo test --release -p picocube-mcu --test differential`.
 //!
 //! Coverage comes from three directions: every checked-in firmware image,
 //! proptest-generated instruction soups over all addressing modes (via the
@@ -14,80 +23,283 @@
 //! PCs, undecodable words, interrupt storms).
 
 use picocube_mcu::firmware;
-use picocube_mcu::{asm, Image, InsnCount, Irq, Mcu, SegmentStop, StepResult};
+use picocube_mcu::{asm, Image, InsnCount, Irq, Mcu, OperatingMode, SegmentStop, StepResult};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// A decoded/interpreter pair over one image.
+/// Steps between two digest checkpoints.
+const CHECKPOINT_EVERY: usize = 64;
+
+fn trace_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interp_trace.txt")
+}
+
+/// The trace file as `key -> [(label, digest)]`, one record per line:
+/// `<key> <label> <digest hex>`.
+type TraceRecords = BTreeMap<String, Vec<(String, String)>>;
+
+fn parse_trace(text: &str) -> TraceRecords {
+    let mut out = TraceRecords::new();
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        let mut parts = line.split(' ');
+        let (Some(key), Some(label), Some(digest), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            panic!("malformed trace line: {line:?}");
+        };
+        out.entry(key.to_string())
+            .or_default()
+            .push((label.to_string(), digest.to_string()));
+    }
+    out
+}
+
+/// The checked-in trace, read once per test binary.
+fn golden_trace() -> &'static TraceRecords {
+    static GOLDEN: OnceLock<TraceRecords> = OnceLock::new();
+    GOLDEN.get_or_init(|| {
+        let text = std::fs::read_to_string(trace_path()).unwrap_or_else(|e| {
+            panic!(
+                "missing reference trace {}: {e}\n(regenerate from a known-good commit \
+                 with UPDATE_GOLDEN=1 cargo test --release -p picocube-mcu --test differential)",
+                trace_path().display()
+            )
+        });
+        parse_trace(&text)
+    })
+}
+
+/// Serializes `UPDATE_GOLDEN` rewrites across the suite's parallel tests.
+static TRACE_WRITE: Mutex<()> = Mutex::new(());
+
+fn mode_code(mode: OperatingMode) -> u64 {
+    match mode {
+        OperatingMode::Active => 0,
+        OperatingMode::Lpm0 => 1,
+        OperatingMode::Lpm3 => 2,
+        OperatingMode::Lpm4 => 3,
+    }
+}
+
+fn step_code(r: StepResult) -> [u64; 3] {
+    match r {
+        StepResult::Ran { cycles } => [0, u64::from(cycles), 0],
+        StepResult::Sleeping(mode) => [1, mode_code(mode), 0],
+        StepResult::IllegalInstruction { word, at } => [2, u64::from(word), u64::from(at)],
+    }
+}
+
+fn stop_code(s: SegmentStop) -> [u64; 3] {
+    match s {
+        SegmentStop::Budget => [3, 0, 0],
+        SegmentStop::Observable => [4, 0, 0],
+        SegmentStop::Sleeping(mode) => [5, mode_code(mode), 0],
+        SegmentStop::Fault { word, at } => [6, u64::from(word), u64::from(at)],
+    }
+}
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over the little-endian bytes of each word, continuing from `h`.
+fn fnv(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// A running FNV-1a digest of one core's execution, checkpointed every
+/// [`CHECKPOINT_EVERY`] steps and at every full-memory comparison. Checked
+/// against the reference trace record by record as it goes, or collected
+/// and written back under `UPDATE_GOLDEN`.
+struct Trace {
+    key: String,
+    digest: u64,
+    steps: usize,
+    records: Vec<(String, String)>,
+    update: bool,
+}
+
+impl Trace {
+    fn new(key: &str) -> Self {
+        Self {
+            key: key.to_string(),
+            digest: FNV_BASIS,
+            steps: 0,
+            records: Vec::new(),
+            update: std::env::var_os("UPDATE_GOLDEN").is_some(),
+        }
+    }
+
+    /// Folds an event plus the core's registers, cycles and mode.
+    fn fold(&mut self, event: &[u64], m: &Mcu) {
+        let registers = (0..16).map(|r| u64::from(m.register(r)));
+        let state = [m.cycles(), mode_code(m.mode())];
+        self.digest = fnv(
+            self.digest,
+            event.iter().copied().chain(registers).chain(state),
+        );
+    }
+
+    /// Folds one step or segment and checkpoints every
+    /// [`CHECKPOINT_EVERY`] of them.
+    fn step(&mut self, event: &[u64], m: &Mcu) {
+        self.fold(event, m);
+        self.steps += 1;
+        if self.steps.is_multiple_of(CHECKPOINT_EVERY) {
+            let label = format!("step{}", self.steps);
+            self.record(label, self.digest);
+        }
+    }
+
+    /// Records a digest of all 64 KiB as the core sees them.
+    fn memory(&mut self, m: &Mcu, context: &str) {
+        let digest = fnv(
+            FNV_BASIS,
+            (0..=0xFFFFu16).map(|a| u64::from(m.read_mem8(a))),
+        );
+        let label = format!("mem:{}@{}", context.replace(' ', "_"), self.steps);
+        self.record(label, digest);
+    }
+
+    fn record(&mut self, label: String, digest: u64) {
+        let digest = format!("{digest:016x}");
+        if !self.update {
+            let at = self.records.len();
+            let expected = golden_trace().get(&self.key).and_then(|r| r.get(at));
+            assert_eq!(
+                expected,
+                Some(&(label.clone(), digest.clone())),
+                "{}: record {at} diverged from the reference trace",
+                self.key
+            );
+        }
+        self.records.push((label, digest));
+    }
+
+    /// Closes the trace with the final digest: checks that every reference
+    /// record was reached, or merges this key into the trace file.
+    fn finish(mut self) {
+        let label = format!("end@{}", self.steps);
+        self.record(label, self.digest);
+        if !self.update {
+            let expected = golden_trace().get(&self.key).map_or(0, Vec::len);
+            assert_eq!(
+                self.records.len(),
+                expected,
+                "{}: the run ended early against the reference trace",
+                self.key
+            );
+            return;
+        }
+        let _guard = TRACE_WRITE.lock().unwrap_or_else(PoisonError::into_inner);
+        let path = trace_path();
+        let mut all = std::fs::read_to_string(&path)
+            .map(|t| parse_trace(&t))
+            .unwrap_or_default();
+        all.insert(self.key.clone(), std::mem::take(&mut self.records));
+        let mut text = String::new();
+        for (key, records) in &all {
+            for (label, digest) in records {
+                text.push_str(&format!("{key} {label} {digest}\n"));
+            }
+        }
+        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
+            .expect("create tests/golden");
+        std::fs::write(&path, text).expect("write reference trace");
+    }
+}
+
+/// A cached/live-decode pair over one image. The live-decode core's trace
+/// is checked against the reference.
 struct Pair {
     dec: Mcu,
-    int: Mcu,
+    live: Mcu,
+    trace: Trace,
 }
 
 impl Pair {
-    fn boot(image: &Image) -> Self {
+    fn boot(key: &str, image: &Image) -> Self {
         let mut dec = Mcu::new();
         dec.load(image);
         dec.reset();
-        let mut int = Mcu::new();
-        int.load(image);
-        int.reset();
-        int.set_translation(false);
-        Self { dec, int }
+        let mut live = Mcu::new();
+        live.load(image);
+        live.reset();
+        live.set_translation(false);
+        Self {
+            dec,
+            live,
+            trace: Trace::new(key),
+        }
     }
 
     fn attach_echo_spi(&mut self) {
         self.dec.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
-        self.int.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
+        self.live.attach_spi(Box::new(|mosi: u8| mosi ^ 0xA5));
     }
 
     /// Applies one mirrored stimulus to both cores.
     fn both(&mut self, f: impl Fn(&mut Mcu)) {
         f(&mut self.dec);
-        f(&mut self.int);
+        f(&mut self.live);
     }
 
     fn assert_registers(&self, step: usize) {
         for r in 0..16 {
             assert_eq!(
                 self.dec.register(r),
-                self.int.register(r),
+                self.live.register(r),
                 "step {step}: r{r} diverged"
             );
         }
         assert_eq!(
             self.dec.cycles(),
-            self.int.cycles(),
+            self.live.cycles(),
             "step {step}: cycle counters diverged"
         );
         assert_eq!(
             self.dec.mode(),
-            self.int.mode(),
+            self.live.mode(),
             "step {step}: operating mode diverged"
         );
     }
 
-    fn assert_memory(&self, context: &str) {
+    fn assert_memory(&mut self, context: &str) {
         for addr in 0..=0xFFFFu16 {
-            let (a, b) = (self.dec.read_mem8(addr), self.int.read_mem8(addr));
+            let (a, b) = (self.dec.read_mem8(addr), self.live.read_mem8(addr));
             assert_eq!(a, b, "{context}: memory diverged at {addr:#06x}");
         }
+        self.trace.memory(&self.live, context);
     }
 
     /// Steps both cores once and checks full lockstep agreement.
     fn step(&mut self, step: usize) -> StepResult {
         let a = self.dec.step();
-        let b = self.int.step();
+        let b = self.live.step();
         assert_eq!(a, b, "step {step}: step results diverged");
         self.assert_registers(step);
+        self.trace.step(&step_code(b), &self.live);
         a
     }
 
     /// Fast-forwards a sleeping pair identically.
     fn sleep(&mut self, cycles: u64, step: usize) {
         let a = self.dec.sleep(cycles);
-        let b = self.int.sleep(cycles);
+        let b = self.live.sleep(cycles);
         assert_eq!(a, b, "step {step}: slept cycle counts diverged");
         self.assert_registers(step);
+        self.trace.fold(&[7, b], &self.live);
+    }
+
+    /// Closes the reference trace.
+    fn finish(self) {
+        self.trace.finish();
     }
 }
 
@@ -141,45 +353,25 @@ fn stock_firmware_images_run_in_lockstep() {
         ("beacon", firmware::beacon_app(3, 2).expect("beacon builds")),
     ];
     for (name, image) in &images {
-        let mut pair = Pair::boot(image);
+        let mut pair = Pair::boot(
+            &format!("stock_firmware_images_run_in_lockstep/{name}"),
+            image,
+        );
         pair.attach_echo_spi();
         drive_firmware(&mut pair, 20_000);
         assert!(
             pair.dec.cycles() > 10_000,
             "{name}: the pair should have made real progress"
         );
+        pair.finish();
     }
-}
-
-#[test]
-fn run_streams_blocks_bit_identically() {
-    // Mcu::run takes the block-streaming fast path; chunked budgets must
-    // leave both cores at identical stopping points.
-    let image = firmware::tpms_app(0x42).expect("tpms builds");
-    let mut pair = Pair::boot(&image);
-    pair.attach_echo_spi();
-    for chunk in 0..400 {
-        let a = pair.dec.run(1_337);
-        let b = pair.int.run(1_337);
-        assert_eq!(a, b, "chunk {chunk}: run() consumed different cycles");
-        pair.assert_registers(chunk);
-        if a == 0 {
-            // Parked: wake both through the pin-change path.
-            pair.sleep(1_009, chunk);
-            pair.both(|m| {
-                m.drive_p1(0, false);
-                m.drive_p1(0, true);
-            });
-        }
-    }
-    pair.assert_memory("after chunked runs");
 }
 
 #[test]
 fn self_modifying_code_falls_back_identically() {
-    // The program overwrites an instruction it then executes: the decoded
-    // core must notice the write into cached flash and drop back to the
-    // interpreter, landing on the same result.
+    // The program overwrites an instruction it then executes: the cached
+    // core must notice the write into cached flash and decode from live
+    // memory from then on, landing on the same result.
     let image = asm::assemble(
         r#"
         .org 0xF000
@@ -193,7 +385,7 @@ halt:   jmp halt
         "#,
     )
     .expect("smc program assembles");
-    let mut pair = Pair::boot(&image);
+    let mut pair = Pair::boot("self_modifying_code_falls_back_identically", &image);
     for i in 0..8 {
         pair.step(i);
     }
@@ -203,6 +395,7 @@ halt:   jmp halt
         "the patched instruction must execute, not the stale decode"
     );
     pair.assert_memory("after smc");
+    pair.finish();
 }
 
 #[test]
@@ -217,7 +410,7 @@ start:  mov #0x0A00, r1
         "#,
     )
     .expect("fault program assembles");
-    let mut pair = Pair::boot(&image);
+    let mut pair = Pair::boot("undecodable_words_fault_in_lockstep", &image);
     pair.step(0);
     pair.step(1);
     let r = pair.step(2);
@@ -229,6 +422,53 @@ start:  mov #0x0A00, r1
     let r = pair.step(3);
     assert!(matches!(r, StepResult::IllegalInstruction { .. }));
     pair.assert_memory("after fault");
+    pair.finish();
+}
+
+#[test]
+fn fault_latch_holds_through_interrupts() {
+    // A nonzero undecodable word: the first fault reports it, every later
+    // step reports the latched fault (word 0) at the same PC, and a pending
+    // interrupt is not dispatched while the latch holds.
+    let image = asm::assemble(
+        r#"
+        .org 0xF000
+start:  mov #0x0A00, r1
+        eint
+        .word 0x0ABC          ; opcode 0: undecodable
+isr:    add #1, r4
+        reti
+        .vector reset, start
+        .vector port1, isr
+        "#,
+    )
+    .expect("fault program assembles");
+    let mut pair = Pair::boot("fault_latch_holds_through_interrupts", &image);
+    pair.step(0);
+    pair.step(1);
+    let r = pair.step(2);
+    assert_eq!(
+        r,
+        StepResult::IllegalInstruction {
+            word: 0x0ABC,
+            at: 0xF006
+        }
+    );
+    pair.both(|m| m.raise(Irq::Port1));
+    for i in 3..6 {
+        let r = pair.step(i);
+        assert_eq!(
+            r,
+            StepResult::IllegalInstruction {
+                word: 0,
+                at: 0xF006
+            },
+            "step {i}: the fault must stay latched"
+        );
+    }
+    assert_eq!(pair.live.register(4), 0, "no ISR runs on a latched fault");
+    pair.assert_memory("after latched fault");
+    pair.finish();
 }
 
 #[test]
@@ -243,7 +483,7 @@ halt:   jmp halt
         "#,
     )
     .expect("odd-pc program assembles");
-    let mut pair = Pair::boot(&image);
+    let mut pair = Pair::boot("odd_pc_executes_identically", &image);
     pair.step(0);
     // Force an odd PC: the hardware masks the low bit on fetch but keeps
     // the odd increment; both paths must model it the same way.
@@ -252,6 +492,7 @@ halt:   jmp halt
         pair.step(i);
     }
     pair.assert_memory("after odd pc");
+    pair.finish();
 }
 
 #[test]
@@ -279,7 +520,7 @@ p2isr:  add #0x10, r8
         "#,
     )
     .expect("storm program assembles");
-    let mut pair = Pair::boot(&image);
+    let mut pair = Pair::boot("interrupt_storm_dispatches_identically", &image);
     let schedule = [
         (3usize, Irq::Port2),
         (4, Irq::TimerA),
@@ -299,6 +540,7 @@ p2isr:  add #0x10, r8
         pair.step(i);
     }
     pair.assert_memory("after storm");
+    pair.finish();
 }
 
 /// Reference implementation of the [`Mcu::run_segment`] contract written
@@ -333,8 +575,8 @@ fn reference_segment(
 
 #[test]
 fn run_segment_matches_single_stepping() {
-    // The decoded core runs whole segments (block streaming plus the fused
-    // SPI spin); the interpreter core single-steps through the reference
+    // The cached core runs whole segments (block streaming plus the fused
+    // SPI spin); the live-decode core single-steps through the reference
     // loop above. Ragged cycle/instruction budgets force segment splits at
     // awkward points — including mid-spin — and every stop reason, delta
     // list, register file, and memory image must agree.
@@ -344,7 +586,10 @@ fn run_segment_matches_single_stepping() {
         ("motion", firmware::motion_app(7).expect("motion builds")),
     ];
     for (name, image) in &images {
-        let mut pair = Pair::boot(image);
+        let mut pair = Pair::boot(
+            &format!("run_segment_matches_single_stepping/{name}"),
+            image,
+        );
         pair.attach_echo_spi();
         let (mut da, mut db) = (Vec::new(), Vec::new());
         for seg in 0..4_000usize {
@@ -353,10 +598,14 @@ fn run_segment_matches_single_stepping() {
             da.clear();
             db.clear();
             let a = pair.dec.run_segment(limit, max_insns, &mut da);
-            let b = reference_segment(&mut pair.int, limit, max_insns, &mut db);
+            let b = reference_segment(&mut pair.live, limit, max_insns, &mut db);
             assert_eq!(a, b, "{name} segment {seg}: stop reasons diverged");
             assert_eq!(da, db, "{name} segment {seg}: cycle deltas diverged");
             pair.assert_registers(seg);
+            let mut event = stop_code(b).to_vec();
+            event.push(db.len() as u64);
+            event.extend(db.iter().map(|c| u64::from(*c)));
+            pair.trace.step(&event, &pair.live);
             if let SegmentStop::Sleeping(_) = a {
                 pair.sleep(997, seg);
                 if seg % 5 == 0 {
@@ -377,6 +626,7 @@ fn run_segment_matches_single_stepping() {
             }
         }
         pair.assert_memory("after segments");
+        pair.finish();
     }
 }
 
@@ -566,7 +816,10 @@ proptest! {
              .vector timera, isr\n.vector spi, isr\n",
         );
         let image = asm::assemble(&src).expect("generated soup assembles");
-        let mut pair = Pair::boot(&image);
+        // Cases run in order, so a counter keys each one's trace.
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut pair = Pair::boot(&format!("generated_programs_run_in_lockstep/case{case:03}"), &image);
         pair.attach_echo_spi();
         let mut slept = 0;
         for i in 0..400 {
@@ -594,5 +847,6 @@ proptest! {
             }
         }
         pair.assert_memory("after soup");
+        pair.finish();
     }
 }
